@@ -16,7 +16,8 @@
 //!   cluster — all while **zero** requests are lost and **zero**
 //!   responses mix model versions.
 //!
-//! Output: `BENCH_cluster.json`, gated by `scripts/bench_gate.sh`.
+//! Every invariant is asserted here; the numbers go to the stdout
+//! table. Routed throughput is measured by `perf/` (`score_routed`).
 
 use cats_bench::{render, setup, Args};
 use cats_core::{CatsPipeline, DetectorConfig};
@@ -354,51 +355,23 @@ fn main() {
                 vec!["rps 1 shard".into(), format!("{rps_1:.1}")],
                 vec![format!("rps {SHARDS} shards"), format!("{rps_4:.1}")],
                 vec!["scaling ratio".into(), format!("{ratio:.2}x (floor {floor:.2}x)")],
-                vec!["chaos requests".into(), chaos.requests.to_string()],
-                vec!["chaos lost".into(), chaos.lost.to_string()],
+                vec![
+                    "chaos requests / items".into(),
+                    format!("{} / {}", chaos.requests, chaos.items)
+                ],
+                vec![
+                    "chaos lost / rejected".into(),
+                    format!("{} / {}", chaos.lost, chaos.rejected)
+                ],
                 vec!["failover retries".into(), retries.to_string()],
                 vec!["ejections / readmissions".into(), format!("{ejections} / {readmissions}")],
                 vec!["skew merges".into(), skew_merges.to_string()],
+                vec![
+                    "swaps / versions seen".into(),
+                    format!("{swaps} / {:?}", chaos.versions_seen)
+                ],
                 vec!["chaos p50 / p95 (ms)".into(), format!("{p50:.2} / {p95:.2}")],
             ],
         )
     );
-
-    // Machine-readable output for scripts/bench_gate.sh. Hand-rolled
-    // JSON: the bench crate deliberately has no serde dependency.
-    let versions: Vec<String> = chaos.versions_seen.iter().map(u64::to_string).collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"exp_cluster\",\n  \"scale\": {},\n  \"seed\": {},\n  \
-         \"machine_threads\": {},\n  \"shards\": {},\n  \"clients\": {},\n  \
-         \"scaling\": {{\"rps_1shard\": {:.2}, \"rps_{}shard\": {:.2}, \"ratio\": {:.3}, \
-         \"floor\": {:.3}, \"scaling_ok\": {}}},\n  \
-         \"chaos\": {{\"requests\": {}, \"items\": {}, \"lost\": {}, \"rejected\": {}, \
-         \"retries\": {}, \"ejections\": {}, \"readmissions\": {}, \"skew_merges\": {}, \
-         \"swaps\": {}, \"versions_seen\": [{}], \"p50_ms\": {:.3}, \"p95_ms\": {:.3}}}\n}}\n",
-        args.scale,
-        args.seed,
-        cats_par::default_threads(),
-        SHARDS,
-        CLIENTS,
-        rps_1,
-        SHARDS,
-        rps_4,
-        ratio,
-        floor,
-        u8::from(scaling_ok),
-        chaos.requests,
-        chaos.items,
-        chaos.lost,
-        chaos.rejected,
-        retries,
-        ejections,
-        readmissions,
-        skew_merges,
-        swaps,
-        versions.join(", "),
-        p50,
-        p95,
-    );
-    std::fs::write("BENCH_cluster.json", json).expect("write BENCH_cluster.json");
-    println!("wrote BENCH_cluster.json");
 }

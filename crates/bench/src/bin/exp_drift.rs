@@ -22,9 +22,11 @@
 //! a live HTTP server must lose zero requests while drift-triggered
 //! retrains rewrite its checksummed snapshot file under load.
 //!
-//! Output: `BENCH_drift.json`, hard-gated by `scripts/bench_gate.sh`
-//! (`drift_recovery_ok`, `drift_monitor_fired_before_floor`,
-//! `drift_poisoned_rejected`, `drift_zero_loss`).
+//! Every invariant is asserted here. Two of them are statistical — the
+//! adaptive lane's recovery margin over the frozen one and its absolute
+//! tail-F1 floor — so they are asserted only at the default seed, where
+//! they were established; at other seeds the frozen lane may barely
+//! decay, leaving nothing to recover.
 
 use cats_bench::{render, setup, Args};
 use cats_core::{
@@ -44,6 +46,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Default `--seed`; the statistical recovery checks run at this seed.
+const DEFAULT_SEED: u64 = 0xD21F;
+/// Floor on the adaptive lane's tail F1 at the default seed: 0.8 × the
+/// 0.7796 it measured when the closed loop was introduced.
+const ADAPTIVE_TAIL_F1_FLOOR: f64 = 0.62368;
 /// Drift epochs swept (epoch 0 is the training epoch). Evasion ramps
 /// 0.22/epoch and plateaus at [`MAX_EVASION`] by epoch 3, leaving the
 /// closed loop several plateau epochs of matured labels to recover on.
@@ -95,7 +102,7 @@ fn refit_snapshot(
 
 fn main() {
     let total_t0 = Instant::now();
-    let args = Args::parse(0.004, 0xD21F);
+    let args = Args::parse(0.004, DEFAULT_SEED);
     let phase = |name: &str, t0: Instant| {
         println!(
             "[{name}] {:.2}s (t+{:.2}s)",
@@ -259,12 +266,21 @@ fn main() {
         (Some(_), None) => true,
         (None, _) => false,
     };
-    // In-bench asserts cover the seed-independent invariants; the
-    // recovery *margin* is statistical (at odd seeds the frozen lane
-    // barely decays, leaving nothing to recover), so it ships as
-    // `drift_recovery_ok` in the JSON and is enforced at the pinned CI
-    // seed by scripts/bench_gate.sh.
+    // The recovery margin and the tail-F1 floor are statistical (at odd
+    // seeds the frozen lane barely decays, leaving nothing to recover),
+    // so they hold only at the default seed; the rest hold at any seed.
     let recovery_ok = promotions >= 1 && adaptive_final >= frozen_final + 0.02;
+    if args.seed == DEFAULT_SEED {
+        assert!(
+            recovery_ok,
+            "adaptive lane did not recover past the frozen lane's decay: tail F1 \
+             {adaptive_final:.4} vs frozen {frozen_final:.4} (+0.02 needed), {promotions} promotions"
+        );
+        assert!(
+            adaptive_final >= ADAPTIVE_TAIL_F1_FLOOR,
+            "adaptive tail F1 {adaptive_final:.4} is below the {ADAPTIVE_TAIL_F1_FLOOR} floor"
+        );
+    }
     assert!(first_fire_epoch.is_some(), "drift monitor never fired across {EPOCHS} epochs");
     assert!(floor_epoch.is_some(), "frozen lane never decayed — drift process too weak");
     assert!(monitor_fired_before_floor, "monitor fired after the frozen lane had already decayed");
@@ -445,46 +461,10 @@ fn main() {
          http: {ok} requests, {lost} lost, versions {versions_seen:?}, healthz drift \"{}\"",
         first_fire_epoch, floor_epoch, health.drift
     );
-
-    // Machine-readable output for scripts/bench_gate.sh. Hand-rolled
-    // JSON: the bench crate deliberately has no serde dependency.
-    let f1s = |v: &[f64]| -> String {
-        v.iter().map(|x| format!("{x:.4}")).collect::<Vec<_>>().join(", ")
-    };
-    let json = format!(
-        "{{\n  \"experiment\": \"exp_drift\",\n  \"scale\": {},\n  \"seed\": {},\n  \
-         \"epochs\": {},\n  \"label_lag_epochs\": {},\n  \
-         \"frozen_f1_per_epoch\": [{}],\n  \"adaptive_f1_per_epoch\": [{}],\n  \
-         \"frozen_tail_f1\": {:.4},\n  \"adaptive_tail_f1\": {:.4},\n  \
-         \"drift_first_fire_epoch\": {},\n  \"frozen_floor_epoch\": {},\n  \
-         \"drift_monitor_fired_before_floor\": {},\n  \"drift_promotions\": {},\n  \
-         \"drift_recovery_ok\": {},\n  \"drift_poisoned_rejected\": {},\n  \
-         \"drift_http_requests\": {},\n  \"drift_http_lost\": {},\n  \
-         \"drift_zero_loss\": {},\n  \"drift_file_promotions\": {},\n  \
-         \"drift_versions_observed\": {},\n  \"drift_monitor_rows\": {},\n  \
-         \"drift_health_verdict\": \"{}\"\n}}\n",
-        args.scale,
-        args.seed,
-        EPOCHS,
-        LABEL_LAG,
-        f1s(&frozen_f1),
-        f1s(&adaptive_f1),
-        frozen_final,
-        adaptive_final,
-        first_fire_epoch.map_or(-1, |e| e as i64),
-        floor_epoch.map_or(-1, |e| e as i64),
-        u8::from(monitor_fired_before_floor),
-        promotions,
-        u8::from(recovery_ok),
-        u8::from(poisoned_rejected),
-        ok,
-        lost,
-        u8::from(lost == 0),
-        file_promotions,
-        versions_seen.len(),
-        drift_rows,
-        health.drift,
+    println!(
+        "tail F1 (last two epochs): frozen {frozen_final:.4}, adaptive {adaptive_final:.4} \
+         (recovery {}); label lag {LABEL_LAG} epoch(s); poisoned retrain rejected; \
+         {file_promotions} file promotions under load; server monitor saw {drift_rows} rows",
+        if recovery_ok { "ok" } else { "not reached" }
     );
-    std::fs::write("BENCH_drift.json", json).expect("write BENCH_drift.json");
-    println!("wrote BENCH_drift.json");
 }

@@ -7,23 +7,18 @@
 //! and batch detection — over thread counts and reports per-stage wall
 //! times plus the end-to-end speedup.
 //!
-//! Each sweep row is bracketed by a [`cats_obs::StageTimer`], so
-//! `BENCH_scaling.json` embeds the row's full [`cats_obs::RunProfile`]
-//! (every span down to word2vec epochs and GBT rounds) and the deepest
-//! row is also written standalone to `PROFILE_scaling.json` for CI
-//! artifact upload. Stage wall times in the table come from `Instant`,
-//! not the observer clock, so the table stays meaningful under
+//! Each sweep row is bracketed by a [`cats_obs::StageTimer`]; the
+//! deepest row's [`cats_obs::RunProfile`] (every span down to word2vec
+//! epochs and GBT rounds) is written to `PROFILE_scaling.json`, which
+//! `cats-cli metrics` renders. Stage wall times in the table come from
+//! `Instant`, not the observer clock, so the table stays meaningful under
 //! `CATS_OBS=off` — which is exactly how the observability overhead is
 //! measured (see EXPERIMENTS.md).
 
 use cats_bench::{render, setup, Args};
-use cats_core::pipeline::PipelineSnapshot;
-use cats_core::{
-    CatsPipeline, Detector, DetectorConfig, ItemComments, SemanticAnalyzer, N_FEATURES,
-};
+use cats_core::{Detector, DetectorConfig, ItemComments, SemanticAnalyzer};
 use cats_embedding::{expand_lexicon, ExpansionConfig, Word2VecConfig, Word2VecTrainer};
 use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
-use cats_ml::{Classifier, ColMatrix, Dataset};
 use cats_par::Parallelism;
 use cats_sentiment::SentimentModel;
 use cats_text::{Corpus, Segmenter, WhitespaceSegmenter};
@@ -118,111 +113,6 @@ fn run_once(
     Row { threads, segment_s, embed_s, fit_s, detect_s, profile: timer.finish() }
 }
 
-/// Results of the model-format phase: CATS-IO2 snapshot size and load
-/// time, and batch scoring through the branch-lite flat forest vs the
-/// recursive walk.
-struct FormatPhase {
-    io2_bytes: usize,
-    io2_load_s: f64,
-    score_recursive_items_s: f64,
-    score_flat_items_s: f64,
-    score_speedup: f64,
-    score_bit_identical: bool,
-}
-
-/// Trains the pipeline once, then measures (a) CATS-IO2 snapshot decode
-/// time and (b) batch margin scoring through the recursive enum walk vs
-/// the branch-lite flat node pool over a column-major feature matrix.
-fn format_phase(
-    platform: &cats_platform::Platform,
-    items: &[ItemComments],
-    labels: &[u8],
-    seed: u64,
-) -> FormatPhase {
-    let par = Parallelism::with_threads(cats_par::default_threads().min(8));
-    let seg = WhitespaceSegmenter;
-    let corpus_texts: Vec<&str> = platform
-        .items()
-        .iter()
-        .flat_map(|i| i.comments.iter().map(|c| c.content.as_str()))
-        .take(setup::MAX_W2V_COMMENTS)
-        .collect();
-    let mut corpus = Corpus::new();
-    corpus.push_texts(&corpus_texts, &seg, par);
-    let (sent_pos, sent_neg) =
-        setup::sentiment_corpus(platform.lexicon(), setup::SENTIMENT_REVIEWS, seed);
-    let w2v = Word2VecConfig { parallelism: par, ..setup::experiment_w2v() };
-    let embedding = Word2VecTrainer::new(w2v).train(&corpus);
-    let lexicon = expand_lexicon(
-        &embedding,
-        &platform.lexicon().positive_seeds(),
-        &platform.lexicon().negative_seeds(),
-        ExpansionConfig::default(),
-    );
-    let seg_docs = |texts: &[String]| -> Vec<Vec<String>> {
-        cats_par::map_chunked(par, texts, |t| seg.segment(t))
-    };
-    let sentiment = SentimentModel::train_par(&seg_docs(&sent_pos), &seg_docs(&sent_neg), par);
-    let analyzer = SemanticAnalyzer::from_parts(lexicon, sentiment);
-
-    let rows = cats_core::features::extract_batch(items, &analyzer, par.threads);
-    let mut data = Dataset::new(N_FEATURES);
-    for (r, &l) in rows.iter().zip(labels) {
-        data.push(r.as_slice(), l);
-    }
-    let mut gbt = GradientBoostedTrees::new(GbtConfig { parallelism: par, ..GbtConfig::default() });
-    gbt.fit(&data);
-
-    // Batch scoring: the recursive enum-arena walk row-by-row vs the
-    // flat pool's 8-row-chunked, tree-major batch over column-major
-    // features. Both must agree bit-for-bit before the timing counts.
-    let n_rows = rows.len();
-    let mut x = Vec::with_capacity(n_rows * N_FEATURES);
-    for r in &rows {
-        x.extend_from_slice(r.as_slice());
-    }
-    let cols = ColMatrix::from_row_major(&x, N_FEATURES);
-    let flat_out = gbt.predict_margin_batch(&cols);
-    let rec_out: Vec<f64> =
-        rows.iter().map(|r| gbt.predict_margin_recursive(r.as_slice())).collect();
-    let score_bit_identical = flat_out.len() == rec_out.len()
-        && flat_out.iter().zip(&rec_out).all(|(a, b)| a.to_bits() == b.to_bits());
-
-    let reps = (200_000 / n_rows.max(1)).clamp(3, 500);
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        for r in &rows {
-            std::hint::black_box(gbt.predict_margin_recursive(r.as_slice()));
-        }
-    }
-    let recursive_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(gbt.predict_margin_batch(&cols));
-    }
-    let flat_s = t0.elapsed().as_secs_f64();
-    let scored = (n_rows * reps) as f64;
-
-    // Snapshot persistence: repeated decodes of the same model.
-    let snapshot = CatsPipeline::snapshot(analyzer, DetectorConfig::default(), gbt);
-    let io2 = snapshot.to_io2_bytes().expect("snapshot to IO2");
-    let loads = 30usize;
-    let t0 = Instant::now();
-    for _ in 0..loads {
-        std::hint::black_box(PipelineSnapshot::from_bytes(&io2).expect("IO2 load"));
-    }
-    let io2_load_s = t0.elapsed().as_secs_f64() / loads as f64;
-
-    FormatPhase {
-        io2_bytes: io2.len(),
-        io2_load_s,
-        score_recursive_items_s: scored / recursive_s,
-        score_flat_items_s: scored / flat_s,
-        score_speedup: recursive_s / flat_s,
-        score_bit_identical,
-    }
-}
-
 fn main() {
     let args = Args::parse(0.02, 0x5CA1);
     let platform = cats_platform::datasets::d0(args.scale, args.seed);
@@ -281,70 +171,7 @@ fn main() {
     );
     println!("machine parallelism: {cores} threads");
 
-    // Model format phase: CATS-IO2 snapshot loads and recursive vs flat
-    // batch scoring (EXPERIMENTS.md "Model format").
-    let fp = format_phase(&platform, &items, &labels, args.seed);
-    println!();
-    println!(
-        "snapshot: CATS-IO2 {} KiB, loads in {:.2} ms",
-        fp.io2_bytes / 1024,
-        fp.io2_load_s * 1e3
-    );
-    println!(
-        "batch scoring: recursive {:.0} items/s vs flat {:.0} items/s ({:.1}x, bit-identical: {})",
-        fp.score_recursive_items_s, fp.score_flat_items_s, fp.score_speedup, fp.score_bit_identical
-    );
-
-    // Machine-readable output for the acceptance gate. Hand-rolled JSON:
-    // the bench crate deliberately has no serde dependency. Each row
-    // embeds its RunProfile document verbatim.
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"threads\": {}, \"segment_s\": {:.6}, \"embed_s\": {:.6}, \
-                 \"fit_s\": {:.6}, \"detect_s\": {:.6}, \"total_s\": {:.6}, \
-                 \"speedup\": {:.4}, \"profile\": {}}}",
-                r.threads,
-                r.segment_s,
-                r.embed_s,
-                r.fit_s,
-                r.detect_s,
-                r.total(),
-                base / r.total(),
-                r.profile.to_json().trim_end()
-            )
-        })
-        .collect();
-    let model_format = format!(
-        "{{\"io2_bytes\": {}, \"io2_load_ms\": {:.4}, \"io2_loads_per_s\": {:.2}, \
-         \"score_recursive_items_s\": {:.2}, \"score_flat_items_s\": {:.2}, \
-         \"score_speedup\": {:.4}, \"score_bit_identical\": {}}}",
-        fp.io2_bytes,
-        fp.io2_load_s * 1e3,
-        fp.io2_load_s.recip(),
-        fp.score_recursive_items_s,
-        fp.score_flat_items_s,
-        fp.score_speedup,
-        u8::from(fp.score_bit_identical),
-    );
-    let json = format!(
-        "{{\n  \"experiment\": \"exp_scaling\",\n  \"scale\": {},\n  \"seed\": {},\n  \
-         \"machine_threads\": {},\n  \"items\": {},\n  \"comments\": {},\n  \
-         \"obs_enabled\": {},\n  \"model_format\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        args.scale,
-        args.seed,
-        cores,
-        items.len(),
-        comments,
-        cats_obs::enabled(),
-        model_format,
-        json_rows.join(",\n")
-    );
-    std::fs::write("BENCH_scaling.json", json).expect("write BENCH_scaling.json");
-    println!("wrote BENCH_scaling.json");
-
-    // Deepest sweep row standalone, for CI artifact upload.
+    // Deepest sweep row's profile, for `cats-cli metrics` and CI upload.
     let last = rows.last().expect("at least one sweep row");
     std::fs::write("PROFILE_scaling.json", last.profile.to_json())
         .expect("write PROFILE_scaling.json");

@@ -9,9 +9,11 @@
 //! hot-swap under load, and typed 429 backpressure under a deliberately
 //! tiny queue.
 //!
-//! Output: `BENCH_serve.json`, consumed by `scripts/bench_gate.sh`
-//! which compares `sustained_rps` against the committed floor baseline
-//! in `results/baselines/` and fails CI on regression.
+//! The serving invariants (zero drops under load and hot-swap, 429s and
+//! no broken sockets under overload, overload resolving within 20 s) are
+//! asserted here; throughput and latency go to the stdout table only.
+//! Serving performance is measured by `perf/` (`score_trickle`,
+//! `score_bulk`).
 
 use cats_bench::{render, setup, Args};
 use cats_core::{CatsPipeline, DetectorConfig, PipelineSnapshot};
@@ -267,12 +269,23 @@ fn main() {
     println!(
         "{}",
         render::table(
-            &["Phase", "Requests", "RPS", "p50 (ms)", "p95 (ms)", "p99 (ms)"],
+            &[
+                "Phase",
+                "Requests",
+                "Duration (s)",
+                "RPS",
+                "Items/s",
+                "p50 (ms)",
+                "p95 (ms)",
+                "p99 (ms)"
+            ],
             &[
                 vec![
                     "sustained".into(),
                     load.requests.to_string(),
+                    format!("{:.2}", load.elapsed_s),
                     format!("{sustained_rps:.1}"),
+                    format!("{items_per_s:.1}"),
                     format!("{p50:.2}"),
                     format!("{p95:.2}"),
                     format!("{p99:.2}"),
@@ -280,7 +293,9 @@ fn main() {
                 vec![
                     "hot-swap".into(),
                     swap_load.requests.to_string(),
+                    format!("{:.2}", swap_load.elapsed_s),
                     format!("{:.1}", swap_load.requests as f64 / swap_load.elapsed_s),
+                    format!("{:.1}", swap_load.items as f64 / swap_load.elapsed_s),
                     format!("{:.2}", percentile(&swap_load.latencies_ms, 0.50)),
                     format!("{:.2}", percentile(&swap_load.latencies_ms, 0.95)),
                     format!("{:.2}", percentile(&swap_load.latencies_ms, 0.99)),
@@ -289,43 +304,8 @@ fn main() {
         )
     );
     println!(
-        "hot-swap: {swaps} swaps, versions seen {:?}, 0 dropped; backpressure: {accepted} accepted / {rejected_429} x 429",
+        "hot-swap: {swaps} swaps, versions seen {:?}, 0 dropped; backpressure: {accepted} accepted / \
+         {rejected_429} x 429 / {failed} failed of 16, resolved in {probe_s:.2}s",
         swap_load.versions_seen
     );
-
-    // Machine-readable output for scripts/bench_gate.sh. Hand-rolled
-    // JSON: the bench crate deliberately has no serde dependency.
-    let versions: Vec<String> = swap_load.versions_seen.iter().map(u64::to_string).collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"exp_serve\",\n  \"scale\": {},\n  \"seed\": {},\n  \
-         \"machine_threads\": {},\n  \"clients\": {},\n  \"items_per_request\": {},\n  \
-         \"load\": {{\"requests\": {}, \"duration_s\": {:.3}, \"sustained_rps\": {:.2}, \
-         \"items_per_s\": {:.2}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}}},\n  \
-         \"hot_swap\": {{\"requests\": {}, \"swaps\": {}, \"versions_seen\": [{}], \
-         \"dropped\": {}}},\n  \
-         \"backpressure\": {{\"attempts\": 16, \"accepted\": {}, \"rejected_429\": {}, \
-         \"failed\": {}, \"resolved_s\": {:.3}}}\n}}\n",
-        args.scale,
-        args.seed,
-        cats_par::default_threads(),
-        CLIENTS,
-        ITEMS_PER_REQUEST,
-        load.requests,
-        load.elapsed_s,
-        sustained_rps,
-        items_per_s,
-        p50,
-        p95,
-        p99,
-        swap_load.requests,
-        swaps,
-        versions.join(", "),
-        swap_load.dropped,
-        accepted,
-        rejected_429,
-        failed,
-        probe_s,
-    );
-    std::fs::write("BENCH_serve.json", json).expect("write BENCH_serve.json");
-    println!("wrote BENCH_serve.json");
 }

@@ -12,8 +12,7 @@
 //! bit.
 //!
 //! The fault *sequence* is a pure function of `--seed`, so a failure
-//! reproduces exactly. Hard invariants (asserted here and gated by
-//! `scripts/bench_gate.sh` off `BENCH_soak.json`):
+//! reproduces exactly. Hard invariants, asserted here:
 //!
 //! * zero lost responses (sockets that died without an HTTP answer);
 //! * zero torn responses (2xx bodies that failed to parse, or verdict
@@ -359,7 +358,7 @@ fn main() {
     let reloads = cats_obs::counter("cats.serve.model.reloads").get() - reloads0;
     let reload_errors = cats_obs::counter("cats.serve.model.reload_errors").get() - reload_errors0;
 
-    // The robustness invariants (also gated by scripts/bench_gate.sh).
+    // The robustness invariants.
     assert!(tally.ok > 0, "soak must score something");
     assert_eq!(tally.lost, 0, "chaos soak lost {} responses (want 0)", tally.lost);
     assert_eq!(tally.torn, 0, "chaos soak returned {} torn responses (want 0)", tally.torn);
@@ -424,7 +423,10 @@ fn main() {
                 vec!["torn".into(), tally.torn.to_string()],
                 vec!["rejected (429/503)".into(), tally.rejected.to_string()],
                 vec!["internal 500".into(), tally.internal_500.to_string()],
+                vec!["other HTTP".into(), tally.other_http.to_string()],
+                vec!["duration (s)".into(), format!("{:.2}", tally.elapsed_s)],
                 vec!["sustained rps".into(), format!("{sustained_rps:.1}")],
+                vec!["versions seen".into(), format!("{:?}", tally.versions_seen)],
                 vec![
                     "faults (loris/mid/tear/panic)".into(),
                     format!(
@@ -444,52 +446,4 @@ fn main() {
         "soak ok: 0 lost, 0 torn across {} requests; resume bit-identical; restart from mirror ok",
         tally.requests
     );
-
-    // Machine-readable output for scripts/bench_gate.sh. Hand-rolled
-    // JSON: the bench crate deliberately has no serde dependency.
-    let versions: Vec<String> = tally.versions_seen.iter().map(u64::to_string).collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"exp_soak\",\n  \"scale\": {},\n  \"seed\": {},\n  \
-         \"machine_threads\": {},\n  \"clients\": {},\n  \"items_per_request\": {},\n  \
-         \"ticks\": {},\n  \
-         \"soak\": {{\"requests\": {}, \"ok\": {}, \"lost\": {}, \"torn\": {}, \
-         \"rejected\": {}, \"internal_500\": {}, \"other_http\": {}, \
-         \"duration_s\": {:.3}, \"sustained_rps\": {:.2}, \"versions_seen\": [{}]}},\n  \
-         \"chaos\": {{\"slow_loris\": {}, \"mid_body_disconnect\": {}, \
-         \"torn_rewrites\": {}, \"injected_panics\": {}, \"worker_panics\": {}, \
-         \"worker_respawns\": {}, \"respawn_bound_ok\": {}, \
-         \"reloads\": {}, \"reload_errors\": {}}},\n  \
-         \"resume\": {{\"bit_identical\": {}}},\n  \
-         \"restart\": {{\"restart_ok\": {}}},\n  \
-         \"soak_ok\": 1\n}}\n",
-        args.scale,
-        args.seed,
-        cats_par::default_threads(),
-        CLIENTS,
-        ITEMS_PER_REQUEST,
-        TICKS,
-        tally.requests,
-        tally.ok,
-        tally.lost,
-        tally.torn,
-        tally.rejected,
-        tally.internal_500,
-        tally.other_http,
-        tally.elapsed_s,
-        sustained_rps,
-        versions.join(", "),
-        injected.slow_loris,
-        injected.mid_body,
-        injected.torn_rewrite,
-        injected.worker_panic,
-        worker_panics,
-        worker_respawns,
-        u8::from(respawn_bound_ok),
-        reloads,
-        reload_errors,
-        u8::from(resume_bit_identical),
-        u8::from(restart_ok),
-    );
-    std::fs::write("BENCH_soak.json", json).expect("write BENCH_soak.json");
-    println!("wrote BENCH_soak.json");
 }

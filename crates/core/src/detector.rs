@@ -307,29 +307,27 @@ impl Detector {
         reports
     }
 
-    /// Scores feature rows straight through the stage-2 classifier's
-    /// batch path (the GBT routes this to the branch-lite flat forest),
-    /// one probability per row, bit-identical to per-row
-    /// `predict_proba`. Non-finite rows score 0.0 — the streaming
-    /// caller has no quarantine lane, and a zero score is the same
-    /// "treat as normal" outcome [`Detector::detect`] reaches through
-    /// [`FilterDecision::Quarantined`].
+    /// Scores feature rows straight through the stage-2 classifier, one
+    /// `predict_proba` per row. Non-finite rows score 0.0 — the
+    /// streaming caller has no quarantine lane, and a zero score is the
+    /// same "treat as normal" outcome [`Detector::detect`] reaches
+    /// through [`FilterDecision::Quarantined`].
     ///
     /// # Panics
     /// Panics if the detector has not been fit.
     pub fn score_rows(&self, rows: &[FeatureVector]) -> Vec<f64> {
         assert!(self.fitted, "score before fit");
-        let finite: Vec<usize> = (0..rows.len()).filter(|&i| rows[i].is_finite()).collect();
-        let flat: Vec<f64> =
-            finite.iter().flat_map(|&i| rows[i].as_slice().iter().copied()).collect();
-        let mut scores = vec![0.0; rows.len()];
-        if !finite.is_empty() {
-            let cols = cats_ml::ColMatrix::from_row_major(&flat, N_FEATURES);
-            for (&i, s) in finite.iter().zip(self.classifier.predict_proba_batch(&cols)) {
-                scores[i] = s;
-            }
-        }
-        scores
+        rows.iter()
+            .map(
+                |row| {
+                    if row.is_finite() {
+                        self.classifier.predict_proba(row.as_slice())
+                    } else {
+                        0.0
+                    }
+                },
+            )
+            .collect()
     }
 
     /// Stage-2 decision threshold currently in force.

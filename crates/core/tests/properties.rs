@@ -4,10 +4,12 @@
 
 use cats_core::pipeline::{calibrate_balanced_threshold, calibrate_precision_threshold};
 use cats_core::{
-    features, fuse_scores, velocity_risk, DetectionReport, FeatureVector, FilterDecision,
-    ItemComments, SemanticAnalyzer, VelocityFeatures, DEFAULT_FUSION_WEIGHT, N_FEATURES,
-    N_VELOCITY_FEATURES,
+    features, fuse_scores, velocity_risk, DetectionReport, Detector, DetectorConfig, FeatureVector,
+    FilterDecision, ItemComments, SemanticAnalyzer, VelocityFeatures, DEFAULT_FUSION_WEIGHT,
+    N_FEATURES, N_VELOCITY_FEATURES,
 };
+use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
+use cats_ml::{Classifier, Dataset};
 use cats_sentiment::SentimentModel;
 use cats_text::Lexicon;
 use rand::rngs::StdRng;
@@ -244,5 +246,41 @@ fn velocity_risk_alone_never_crosses_the_default_threshold() {
         let fused = fuse_scores(0.0, risk, DEFAULT_FUSION_WEIGHT);
         assert!(fused <= DEFAULT_FUSION_WEIGHT + 1e-12, "case {case}: velocity-only fused {fused}");
         assert!(fused < 0.5 + 1e-12, "case {case}: velocity alone crossed the fraud threshold");
+    }
+}
+
+/// One feature row: each value drawn from [-5, 5), and with probability
+/// 1/4 one feature replaced by NaN, +inf or -inf.
+fn feature_row(rng: &mut StdRng) -> FeatureVector {
+    let mut v: [f64; N_FEATURES] = std::array::from_fn(|_| rng.random_range(-5.0..5.0));
+    if rng.random_range(0..4u32) == 0 {
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        v[rng.random_range(0..N_FEATURES)] = bad[rng.random_range(0..3usize)];
+    }
+    FeatureVector(v)
+}
+
+#[test]
+fn score_rows_is_per_row_predict_proba_and_zero_for_non_finite_rows() {
+    let mut rng = StdRng::seed_from_u64(u64::MAX);
+    let mut data = Dataset::new(N_FEATURES);
+    for _ in 0..200 {
+        let v: [f64; N_FEATURES] = std::array::from_fn(|_| rng.random_range(-5.0..5.0));
+        data.push(&v, u8::from(v[0] + 0.5 * v[3] > 0.0));
+    }
+    let mut gbt = GradientBoostedTrees::new(GbtConfig { n_trees: 30, ..GbtConfig::default() });
+    gbt.fit(&data);
+    let mut detector = Detector::new(DetectorConfig::default(), Box::new(gbt.clone()));
+    detector.mark_fitted();
+
+    for (case, mut rng) in cases(64) {
+        let n = rng.random_range(0..24usize);
+        let rows: Vec<FeatureVector> = (0..n).map(|_| feature_row(&mut rng)).collect();
+        let scores = detector.score_rows(&rows);
+        assert_eq!(scores.len(), rows.len(), "case {case}: one score per row");
+        for (i, (row, score)) in rows.iter().zip(&scores).enumerate() {
+            let want = if row.is_finite() { gbt.predict_proba(row.as_slice()) } else { 0.0 };
+            assert_eq!(score.to_bits(), want.to_bits(), "case {case}: row {i} {row:?}");
+        }
     }
 }

@@ -6,7 +6,6 @@
 //! it.
 
 use crate::data::Dataset;
-use crate::flat::ColMatrix;
 use crate::metrics::BinaryMetrics;
 
 /// An object-safe binary classifier.
@@ -23,22 +22,6 @@ pub trait Classifier: Send + Sync {
     /// Hard decision at the 0.5 operating point.
     fn predict(&self, row: &[f64]) -> bool {
         self.predict_proba(row) >= 0.5
-    }
-
-    /// Probability scores for a whole column-major batch, one per row,
-    /// bit-identical to calling [`Classifier::predict_proba`] row by
-    /// row. The default does exactly that; models with a vectorized
-    /// scoring path (the GBT's branch-lite flat forest) override it.
-    fn predict_proba_batch(&self, cols: &ColMatrix) -> Vec<f64> {
-        let mut row = vec![0.0; cols.n_cols()];
-        (0..cols.n_rows())
-            .map(|r| {
-                for (c, v) in row.iter_mut().enumerate() {
-                    *v = cols.at(r, c);
-                }
-                self.predict_proba(&row)
-            })
-            .collect()
     }
 
     /// Human-readable model name (used in Table III output).

@@ -82,8 +82,8 @@ impl Dataset {
     }
 
     /// The feature matrix transposed into column-major storage, so
-    /// per-feature walks (split scans, batch tree descent) read
-    /// contiguous memory instead of striding by `n_features`.
+    /// per-feature walks (split scans) read contiguous memory instead of
+    /// striding by `n_features`.
     pub fn to_cols(&self) -> ColMatrix {
         if self.n_features == 0 {
             return ColMatrix::default();

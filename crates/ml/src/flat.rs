@@ -27,11 +27,11 @@
 //! row to the same leaf (NaN features route right in both, since
 //! `NaN < t` is false), and margins accumulate in the same tree order.
 //!
-//! [`ColMatrix`] is the column-major companion for batch work: split
-//! scans and batch scoring read one feature across many rows, which in
-//! row-major storage strides by `n_features` — column-major makes those
-//! walks contiguous. Values are identical `f64`s, so every comparison
-//! and accumulation is unchanged bit-for-bit.
+//! [`ColMatrix`] is the column-major companion for fitting: split scans
+//! read one feature across many rows, which in row-major storage strides
+//! by `n_features` — column-major makes those walks contiguous. Values
+//! are identical `f64`s, so every comparison and accumulation is
+//! unchanged bit-for-bit.
 //!
 //! This module is deliberately serde-free and `crate`-path-free so it
 //! can be compiled and tested standalone against `cats-io` alone.
@@ -64,11 +64,6 @@ impl FlatForest {
     /// Number of trees.
     pub fn n_trees(&self) -> usize {
         self.roots.len()
-    }
-
-    /// Number of nodes across all trees.
-    pub fn n_nodes(&self) -> usize {
-        self.feature.len()
     }
 
     fn alloc(&mut self) -> u32 {
@@ -143,38 +138,19 @@ impl FlatForest {
         m
     }
 
-    /// Batch margins over a column-major matrix: rows are processed in
-    /// chunks of 8 and trees tree-major within a chunk, keeping the
-    /// pool's arrays and one chunk of rows hot in cache. Each row's
-    /// accumulation order is still `base + tree0 + tree1 + …`, so the
-    /// output is bit-identical to calling [`FlatForest::margin`] per row.
-    pub fn margin_batch(&self, cols: &ColMatrix, base: f64, out: &mut Vec<f64>) {
-        let n = cols.n_rows();
-        out.clear();
-        out.resize(n, base);
-        let mut r0 = 0;
-        while r0 < n {
-            let r1 = (r0 + 8).min(n);
-            for t in 0..self.roots.len() {
-                let root = self.roots[t] as usize;
-                for (r, acc) in out[r0..r1].iter_mut().enumerate() {
-                    let r = r0 + r;
-                    let mut i = root;
-                    loop {
-                        let f = self.feature[i];
-                        if f == LEAF {
-                            *acc += self.leaf[i];
-                            break;
-                        }
-                        // NaN goes right, as in `predict_tree`.
-                        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                        let go_right = usize::from(!(cols.at(r, f as usize) < self.threshold[i]));
-                        i = self.left[i] as usize + go_right;
-                    }
-                }
-            }
-            r0 = r1;
+    /// Drops every tree after the first `n_trees` (early stopping's
+    /// rewind to the best round). Trees are appended one at a time, so
+    /// tree `n_trees` starts the node range being cut.
+    pub fn truncate(&mut self, n_trees: usize) {
+        if n_trees >= self.roots.len() {
+            return;
         }
+        let end = self.roots[n_trees] as usize;
+        self.roots.truncate(n_trees);
+        self.feature.truncate(end);
+        self.threshold.truncate(end);
+        self.left.truncate(end);
+        self.leaf.truncate(end);
     }
 
     /// Largest feature index referenced by any split, if any split
@@ -182,31 +158,6 @@ impl FlatForest {
     /// trusting a decoded pool.
     pub fn max_feature(&self) -> Option<u32> {
         self.feature.iter().copied().filter(|&f| f != LEAF).max()
-    }
-
-    /// Root node index of tree `t`.
-    pub fn root(&self, t: usize) -> u32 {
-        self.roots[t]
-    }
-
-    /// Split feature of node `i` ([`LEAF`] for leaves).
-    pub fn node_feature(&self, i: usize) -> u32 {
-        self.feature[i]
-    }
-
-    /// Split threshold of node `i` (meaningless for leaves).
-    pub fn node_threshold(&self, i: usize) -> f64 {
-        self.threshold[i]
-    }
-
-    /// Left-child index of node `i` (right child is this plus one).
-    pub fn node_left(&self, i: usize) -> u32 {
-        self.left[i]
-    }
-
-    /// Leaf output of node `i` (meaningless for splits).
-    pub fn node_leaf(&self, i: usize) -> f64 {
-        self.leaf[i]
     }
 
     /// Serializes the pool as flat little-endian arrays.
@@ -224,9 +175,10 @@ impl FlatForest {
     /// Decodes and structurally validates a pool. Beyond the container's
     /// CRC (integrity), this enforces the invariants descent relies on
     /// for memory safety and termination: equal array lengths, in-range
-    /// roots, and strictly forward child links (`left[i] > i`, right
-    /// child in range) — forward links make cycles impossible, so every
-    /// descent terminates.
+    /// and strictly increasing roots, and strictly forward child links
+    /// (`left[i] > i`) that stay inside the node's own tree — forward
+    /// links make cycles impossible, so every descent terminates, and
+    /// [`FlatForest::truncate`] can cut the pool at any root.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let mut d = Dec::new(bytes);
         let version = d.u32()?;
@@ -257,12 +209,23 @@ impl FlatForest {
                 return Err(format!("tree root {r} out of range ({n} nodes)"));
             }
         }
+        if let Some(t) = roots.windows(2).position(|w| w[1] <= w[0]) {
+            return Err(format!("tree {}: roots are not strictly increasing", t + 1));
+        }
+        // Tree t owns nodes [roots[t], roots[t+1]); nodes before the
+        // first root belong to no tree and are only held to `n`.
+        let mut end = roots.first().map_or(n, |&r| r as usize);
+        let mut next_root = 0;
         for i in 0..n {
+            if next_root < roots.len() && i == roots[next_root] as usize {
+                next_root += 1;
+                end = roots.get(next_root).map_or(n, |&r| r as usize);
+            }
             if feature[i] != LEAF {
                 let l = left[i] as usize;
-                if l <= i || l + 1 >= n {
+                if l <= i || l + 1 >= end {
                     return Err(format!(
-                        "node {i}: children at {l} are not strictly forward in-range links"
+                        "node {i}: children at {l} are not strictly forward links inside its tree"
                     ));
                 }
             }
@@ -271,9 +234,44 @@ impl FlatForest {
     }
 }
 
+/// Node-level reads for the enum-walk oracle in `gbt`'s tests; scoring
+/// and encoding need none of them.
+#[cfg(test)]
+impl FlatForest {
+    /// Number of nodes across all trees.
+    pub(crate) fn n_nodes(&self) -> usize {
+        self.feature.len()
+    }
+
+    /// Root node index of tree `t`.
+    pub(crate) fn root(&self, t: usize) -> u32 {
+        self.roots[t]
+    }
+
+    /// Split feature of node `i` ([`LEAF`] for leaves).
+    pub(crate) fn node_feature(&self, i: usize) -> u32 {
+        self.feature[i]
+    }
+
+    /// Split threshold of node `i` (meaningless for leaves).
+    pub(crate) fn node_threshold(&self, i: usize) -> f64 {
+        self.threshold[i]
+    }
+
+    /// Left-child index of node `i` (right child is this plus one).
+    pub(crate) fn node_left(&self, i: usize) -> u32 {
+        self.left[i]
+    }
+
+    /// Leaf output of node `i` (meaningless for splits).
+    pub(crate) fn node_leaf(&self, i: usize) -> f64 {
+        self.leaf[i]
+    }
+}
+
 /// A dense column-major `f64` matrix: column `c` occupies
-/// `data[c*n_rows .. (c+1)*n_rows]`, so per-feature walks (split scans,
-/// batch descent) are contiguous loads instead of `n_cols`-strided ones.
+/// `data[c*n_rows .. (c+1)*n_rows]`, so per-feature walks (split scans)
+/// are contiguous loads instead of `n_cols`-strided ones.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColMatrix {
     n_rows: usize,
@@ -310,13 +308,6 @@ impl ColMatrix {
     /// One column as a contiguous slice.
     pub fn col(&self, c: usize) -> &[f64] {
         &self.data[c * self.n_rows..(c + 1) * self.n_rows]
-    }
-
-    /// Element at (row, column).
-    #[inline]
-    pub fn at(&self, r: usize, c: usize) -> f64 {
-        debug_assert!(r < self.n_rows && c < self.n_cols);
-        self.data[c * self.n_rows + r]
     }
 }
 
@@ -435,21 +426,18 @@ mod tests {
     }
 
     #[test]
-    fn batch_margin_matches_scalar_margin_bitwise() {
-        let (_, flat) = random_forest(3, 30, 5);
+    fn truncate_keeps_a_prefix_of_trees() {
+        let (trees, flat) = random_forest(3, 30, 5);
         let mut rng = StdRng::seed_from_u64(99);
-        // 37 rows: exercises full chunks of 8 plus a ragged tail of 5.
-        let rows: Vec<Vec<f64>> =
-            (0..37).map(|_| (0..5).map(|_| rng.random::<f64>()).collect()).collect();
-        let flat_rows: Vec<f64> = rows.iter().flatten().copied().collect();
-        let cols = ColMatrix::from_row_major(&flat_rows, 5);
-        let base = -0.731;
-        let mut batch = Vec::new();
-        flat.margin_batch(&cols, base, &mut batch);
-        assert_eq!(batch.len(), 37);
-        for (r, row) in rows.iter().enumerate() {
-            let scalar = flat.margin(base, row);
-            assert_eq!(batch[r].to_bits(), scalar.to_bits(), "row {r} diverged");
+        for keep in [0, 1, 17, 30, 31] {
+            let mut cut = flat.clone();
+            cut.truncate(keep);
+            let kept = keep.min(trees.len());
+            // Cutting at a root equals flattening the kept prefix alone.
+            assert_eq!(cut, flatten(&trees[..kept]), "keep {keep}");
+            let row: Vec<f64> = (0..5).map(|_| rng.random::<f64>()).collect();
+            let reference = trees[..kept].iter().fold(0.0, |m, t| m + t.predict(&row));
+            assert_eq!(cut.margin(0.0, &row).to_bits(), reference.to_bits(), "keep {keep}");
         }
     }
 
@@ -487,8 +475,31 @@ mod tests {
         evil.roots[0] = 9;
         assert!(FlatForest::from_bytes(&evil.to_bytes()).is_err());
 
-        // Array length disagreement.
+        // Roots not strictly increasing: a repeated root, then a
+        // backwards one.
         let (_, good) = random_forest(5, 3, 4);
+        let mut evil = good.clone();
+        evil.roots[2] = evil.roots[1];
+        let err = FlatForest::from_bytes(&evil.to_bytes()).unwrap_err();
+        assert!(err.contains("strictly increasing"), "{err}");
+        evil.roots[2] = evil.roots[1] - 1;
+        assert!(FlatForest::from_bytes(&evil.to_bytes()).is_err());
+
+        // A forward link that leaves its own tree for the next one.
+        let mut evil = FlatForest::new();
+        for _ in 0..2 {
+            let root = evil.push_root();
+            let l = evil.alloc_children();
+            evil.set_split(root, 0, 0.5, l);
+            evil.set_leaf(l, 1.0);
+            evil.set_leaf(l + 1, 2.0);
+        }
+        assert!(FlatForest::from_bytes(&evil.to_bytes()).is_ok());
+        evil.left[0] = evil.roots[1] + 1; // tree 0's root points into tree 1
+        let err = FlatForest::from_bytes(&evil.to_bytes()).unwrap_err();
+        assert!(err.contains("inside its tree"), "{err}");
+
+        // Array length disagreement.
         let mut lopsided = good.clone();
         lopsided.leaf.pop();
         assert!(FlatForest::from_bytes(&lopsided.to_bytes()).is_err());
@@ -513,10 +524,9 @@ mod tests {
         let x = [0.0, 1.0, 2.0, 3.0, 10.0, 11.0, 12.0, 13.0, 20.0, 21.0, 22.0, 23.0];
         let m = ColMatrix::from_row_major(&x, 4);
         assert_eq!((m.n_rows(), m.n_cols()), (3, 4));
-        for r in 0..3 {
-            for c in 0..4 {
-                assert_eq!(m.at(r, c), (r * 10 + c) as f64);
-            }
+        for c in 0..4 {
+            let col: Vec<f64> = (0..3).map(|r| (r * 10 + c) as f64).collect();
+            assert_eq!(m.col(c), col.as_slice());
         }
         assert_eq!(m.col(2), &[2.0, 12.0, 22.0]);
     }

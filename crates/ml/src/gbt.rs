@@ -102,79 +102,48 @@ fn par_if(par: Parallelism, large: bool) -> Parallelism {
     }
 }
 
-/// A node of a regression tree, in a flat arena.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A node of one tree as [`TreeBuilder`] grows it: a depth-first arena
+/// that [`push_tree`] lays out breadth-first into the forest's pool.
+#[derive(Debug, Clone)]
 enum Node {
     Leaf { weight: f64 },
     Split { feature: usize, threshold: f64, left: usize, right: usize },
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct RegTree {
-    nodes: Vec<Node>,
-}
-
-impl RegTree {
-    fn predict(&self, row: &[f64]) -> f64 {
-        let mut node = 0usize;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf { weight } => return *weight,
-                Node::Split { feature, threshold, left, right } => {
-                    node = if row[*feature] < *threshold { *left } else { *right };
-                }
-            }
-        }
-    }
 }
 
 /// The boosted model.
 #[derive(Debug, Clone)]
 pub struct GradientBoostedTrees {
     config: GbtConfig,
-    trees: Vec<RegTree>,
     base_score: f64,
     /// Split counts per feature (Fig 7's importance metric).
     split_counts: Vec<u64>,
     /// Total structure gain accumulated per feature (the "gain"
     /// importance variant).
     gain_sums: Vec<f64>,
-    /// The ensemble flattened into a contiguous struct-of-arrays node
-    /// pool (DESIGN.md §12). Kept in lockstep with `trees` by every
-    /// construction path (fit, binary decode); mid-fit it is
-    /// deliberately stale-empty and the enum walk serves predictions.
+    /// The ensemble as one contiguous struct-of-arrays node pool
+    /// (DESIGN.md §12). Fit appends each tree as soon as it is built, so
+    /// fit-time margins, early stopping, checkpoints, scoring and the
+    /// IO2 encoding all read this one forest.
     flat: FlatForest,
 }
 
-/// Flattens enum-arena trees into one breadth-first sibling-adjacent
-/// node pool. Deterministic: the same trees always produce the same
+/// Appends one builder tree to the pool, breadth-first with sibling
+/// pairs adjacent. Deterministic: the same trees always produce the same
 /// pool (and therefore the same [`FlatForest::to_bytes`] bytes).
-fn flatten_trees(trees: &[RegTree]) -> FlatForest {
-    let mut flat = FlatForest::new();
-    let mut queue = VecDeque::new();
-    for tree in trees {
-        if tree.nodes.is_empty() {
-            // Defensive: no builder produces an empty tree, but the
-            // flattener must not panic on one.
-            let root = flat.push_root();
-            flat.set_leaf(root, 0.0);
-            continue;
-        }
-        let root = flat.push_root();
-        queue.push_back((0usize, root));
-        while let Some((src, dst)) = queue.pop_front() {
-            match &tree.nodes[src] {
-                Node::Leaf { weight } => flat.set_leaf(dst, *weight),
-                Node::Split { feature, threshold, left, right } => {
-                    let l = flat.alloc_children();
-                    flat.set_split(dst, *feature as u32, *threshold, l);
-                    queue.push_back((*left, l));
-                    queue.push_back((*right, l + 1));
-                }
+fn push_tree(flat: &mut FlatForest, nodes: &[Node]) {
+    let root = flat.push_root();
+    let mut queue = VecDeque::from([(0usize, root)]);
+    while let Some((src, dst)) = queue.pop_front() {
+        match &nodes[src] {
+            Node::Leaf { weight } => flat.set_leaf(dst, *weight),
+            Node::Split { feature, threshold, left, right } => {
+                let l = flat.alloc_children();
+                flat.set_split(dst, *feature as u32, *threshold, l);
+                queue.push_back((*left, l));
+                queue.push_back((*right, l + 1));
             }
         }
     }
-    flat
 }
 
 impl GradientBoostedTrees {
@@ -188,7 +157,6 @@ impl GradientBoostedTrees {
         );
         Self {
             config,
-            trees: Vec::new(),
             base_score: 0.0,
             split_counts: Vec::new(),
             gain_sums: Vec::new(),
@@ -198,12 +166,12 @@ impl GradientBoostedTrees {
 
     /// Whether the model has been fit.
     pub fn is_fit(&self) -> bool {
-        !self.trees.is_empty()
+        self.flat.n_trees() > 0
     }
 
     /// Number of trees in the fitted ensemble.
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        self.flat.n_trees()
     }
 
     /// Split-count feature importance (length = `n_features` of the
@@ -219,54 +187,10 @@ impl GradientBoostedTrees {
         &self.gain_sums
     }
 
-    /// Whether the flat pool mirrors the enum trees. False only mid-fit
-    /// (the pool rebuilds once at fit end) — every load path builds it.
-    #[inline]
-    fn flat_is_fresh(&self) -> bool {
-        !self.trees.is_empty() && self.flat.n_trees() == self.trees.len()
-    }
-
-    /// Raw margin (log-odds) for a row. Descends the branch-lite flat
-    /// pool when it is in sync with the trees (every fitted/loaded
-    /// model); falls back to the enum walk mid-fit. Both paths are
-    /// bit-identical — same comparisons, same f64 accumulation order.
+    /// Raw margin (log-odds) for a row: the base score plus every tree's
+    /// output, descending the branch-lite flat pool.
     pub fn predict_margin(&self, row: &[f64]) -> f64 {
-        if self.flat_is_fresh() {
-            self.flat.margin(self.base_score, row)
-        } else {
-            self.predict_margin_recursive(row)
-        }
-    }
-
-    /// The pre-flat enum-arena walk, kept as the comparison baseline
-    /// (`exp_scaling` measures flat vs recursive) and the mid-fit path
-    /// while the flat pool is stale.
-    pub fn predict_margin_recursive(&self, row: &[f64]) -> f64 {
-        let mut m = self.base_score;
-        for t in &self.trees {
-            m += t.predict(row);
-        }
-        m
-    }
-
-    /// Batch margins over a column-major feature matrix: rows in chunks
-    /// of 8, trees tree-major per chunk (see
-    /// [`FlatForest::margin_batch`]). Output row `i` is bit-identical to
-    /// `predict_margin` of that row.
-    pub fn predict_margin_batch(&self, cols: &ColMatrix) -> Vec<f64> {
-        let mut out = Vec::new();
-        if self.flat_is_fresh() {
-            self.flat.margin_batch(cols, self.base_score, &mut out);
-        } else {
-            let mut row = vec![0.0; cols.n_cols()];
-            for r in 0..cols.n_rows() {
-                for (c, v) in row.iter_mut().enumerate() {
-                    *v = cols.at(r, c);
-                }
-                out.push(self.predict_margin_recursive(&row));
-            }
-        }
-        out
+        self.flat.margin(self.base_score, row)
     }
 
     /// Binary (`CATS-IO2` section payload) encoding: a small JSON head
@@ -281,17 +205,14 @@ impl GradientBoostedTrees {
             gain_sums: self.gain_sums.clone(),
         };
         let head_json = serde_json::to_string(&head).map_err(|e| e.to_string())?;
-        let flat =
-            if self.flat_is_fresh() { self.flat.clone() } else { flatten_trees(&self.trees) };
         let mut e = cats_io::io2::Enc::new();
-        e.str(&head_json).u8s(&flat.to_bytes());
+        e.str(&head_json).u8s(&self.flat.to_bytes());
         Ok(e.into_bytes())
     }
 
     /// Decodes [`GradientBoostedTrees::to_io2_bytes`]. The flat pool is
-    /// taken as stored (so re-encoding is byte-identical) and the enum
-    /// arena is reconstructed from it; split feature indices are
-    /// validated against the feature count.
+    /// taken as stored (so re-encoding is byte-identical); split feature
+    /// indices are validated against the feature count.
     pub fn from_io2_bytes(bytes: &[u8]) -> Result<Self, String> {
         let mut d = cats_io::io2::Dec::new(bytes);
         let head: GbtHead =
@@ -307,17 +228,9 @@ impl GradientBoostedTrees {
                 head.gain_sums.len()
             ));
         }
-        if let Some(f) = flat.max_feature() {
-            if f as usize >= n_features {
-                return Err(format!(
-                    "forest references feature {f} but the model has {n_features} features"
-                ));
-            }
-        }
-        let trees = unflatten_trees(&flat)?;
+        check_features(&flat, n_features)?;
         Ok(Self {
             config: head.config,
-            trees,
             base_score: head.base_score,
             split_counts: head.split_counts,
             gain_sums: head.gain_sums,
@@ -335,45 +248,21 @@ struct GbtHead {
     gain_sums: Vec<f64>,
 }
 
-/// Rebuilds enum-arena trees from a flat pool. Relies on the builder's
-/// layout invariant that tree `t`'s nodes occupy the contiguous index
-/// range `[roots[t], roots[t+1])`; links escaping their tree's range are
-/// rejected (a crafted file must not panic downstream walks).
-fn unflatten_trees(flat: &FlatForest) -> Result<Vec<RegTree>, String> {
-    let mut trees = Vec::with_capacity(flat.n_trees());
-    for t in 0..flat.n_trees() {
-        let start = flat.root(t) as usize;
-        let end = if t + 1 < flat.n_trees() { flat.root(t + 1) as usize } else { flat.n_nodes() };
-        if end <= start {
-            return Err(format!("tree {t}: roots are not strictly increasing"));
+/// Rejects a decoded pool whose splits index past the model's features
+/// (descent would index a row out of bounds).
+fn check_features(flat: &FlatForest, n_features: usize) -> Result<(), String> {
+    match flat.max_feature() {
+        Some(f) if f as usize >= n_features => {
+            Err(format!("forest references feature {f} but the model has {n_features} features"))
         }
-        let mut nodes = Vec::with_capacity(end - start);
-        for i in start..end {
-            let f = flat.node_feature(i);
-            if f == crate::flat::LEAF {
-                nodes.push(Node::Leaf { weight: flat.node_leaf(i) });
-            } else {
-                let l = flat.node_left(i) as usize;
-                if l + 1 >= end {
-                    return Err(format!("tree {t}: node {i} links outside its tree"));
-                }
-                nodes.push(Node::Split {
-                    feature: f as usize,
-                    threshold: flat.node_threshold(i),
-                    left: l - start,
-                    right: l + 1 - start,
-                });
-            }
-        }
-        trees.push(RegTree { nodes });
+        _ => Ok(()),
     }
-    Ok(trees)
 }
 
 impl GradientBoostedTrees {
     /// Fits with early stopping: after each boosting round the model is
     /// scored on `valid` (log-loss); training stops once the loss has not
-    /// improved for `patience` consecutive rounds, and the tree list is
+    /// improved for `patience` consecutive rounds, and the forest is
     /// truncated back to the best round. Returns the number of trees
     /// kept.
     pub fn fit_early_stopping(
@@ -385,7 +274,7 @@ impl GradientBoostedTrees {
         assert!(patience > 0, "patience must be positive");
         assert!(!valid.is_empty(), "validation set must be non-empty");
         self.fit_impl(train, Some((valid, patience)), None);
-        self.trees.len()
+        self.flat.n_trees()
     }
 
     /// Fits with crash recovery: every `every` completed boosting rounds
@@ -430,10 +319,6 @@ impl GradientBoostedTrees {
         let _span = cats_obs::span!("cats.ml.gbt.fit", { data.len() });
         let cfg = self.config;
         let n = data.len();
-        self.trees.clear();
-        // The flat pool is rebuilt once at fit end; while trees are
-        // growing it stays empty so predict_margin (early-stopping
-        // log-loss) walks the enum arena.
         self.flat = FlatForest::new();
         self.split_counts = vec![0; data.n_features()];
         self.gain_sums = vec![0.0; data.n_features()];
@@ -493,21 +378,21 @@ impl GradientBoostedTrees {
         let mut start_round = 0usize;
         if let (Some((store, stage, _)), Some(fp)) = (ckpt, fingerprint) {
             if let Some(bytes) = store.load(stage) {
-                match serde_json::from_slice::<GbtCheckpoint>(&bytes) {
-                    Ok(c)
+                match GbtCheckpoint::decode(&bytes, data.n_features()) {
+                    Ok((c, flat))
                         if c.fingerprint == fp
                             && c.rounds_done <= cfg.n_trees
-                            && c.trees.len() <= c.rounds_done
-                            && c.split_counts.len() == data.n_features()
-                            && c.gain_sums.len() == data.n_features() =>
+                            && flat.n_trees() <= c.rounds_done =>
                     {
-                        self.trees = c.trees;
+                        self.flat = flat;
                         self.base_score = c.base_score;
                         self.split_counts = c.split_counts;
                         self.gain_sums = c.gain_sums;
-                        for tree in &self.trees {
-                            let deltas =
-                                cats_par::map_indexed(row_par, n, |i| tree.predict(data.row(i)));
+                        for t in 0..self.flat.n_trees() {
+                            let flat = &self.flat;
+                            let deltas = cats_par::map_indexed(row_par, n, |i| {
+                                flat.predict_tree(t, data.row(i))
+                            });
                             for (m, d) in margins.iter_mut().zip(&deltas) {
                                 *m += d;
                             }
@@ -593,19 +478,18 @@ impl GradientBoostedTrees {
                 continue;
             }
             builder.build(members, 0);
-            let tree = RegTree { nodes: builder.nodes };
-            let tree_ref = &tree;
-            let deltas = cats_par::map_indexed(row_par, n, |i| tree_ref.predict(data.row(i)));
+            push_tree(&mut self.flat, &builder.nodes);
+            let (flat, t) = (&self.flat, self.flat.n_trees() - 1);
+            let deltas = cats_par::map_indexed(row_par, n, |i| flat.predict_tree(t, data.row(i)));
             for (m, d) in margins.iter_mut().zip(&deltas) {
                 *m += d;
             }
-            self.trees.push(tree);
 
             if let Some((valid, patience)) = early {
                 let loss = self.log_loss(valid);
                 if loss + 1e-12 < best_valid_loss {
                     best_valid_loss = loss;
-                    best_round = self.trees.len();
+                    best_round = self.flat.n_trees();
                     rounds_since_best = 0;
                 } else {
                     rounds_since_best += 1;
@@ -622,11 +506,10 @@ impl GradientBoostedTrees {
                         fingerprint: fp,
                         rounds_done: done,
                         base_score: self.base_score,
-                        trees: self.trees.clone(),
                         split_counts: self.split_counts.clone(),
                         gain_sums: self.gain_sums.clone(),
                     };
-                    match serde_json::to_vec(&state) {
+                    match state.encode(&self.flat) {
                         // A failed save costs the resume point, never the
                         // fit; the next cadence point retries.
                         Ok(bytes) => {
@@ -642,28 +525,53 @@ impl GradientBoostedTrees {
             }
         }
         if early.is_some() {
-            self.trees.truncate(best_round.max(1));
+            self.flat.truncate(best_round.max(1));
         }
-        self.flat = flatten_trees(&self.trees);
         if let Some((store, stage, _)) = ckpt {
             store.clear(stage);
         }
     }
 }
 
-/// Persisted mid-fit state of a checkpointed boosting run.
+/// Persisted mid-fit state of a checkpointed boosting run: this JSON
+/// head followed by the forest so far as [`FlatForest::to_bytes`].
 #[derive(Serialize, Deserialize)]
 struct GbtCheckpoint {
     /// CRC over the config, dataset shape and labels; a mismatch means
     /// the checkpoint belongs to some other run and must be ignored.
     fingerprint: u32,
     /// Boosting rounds fully completed — loop iterations, which can
-    /// exceed `trees.len()` when a subsampled round came up empty.
+    /// exceed the tree count when a subsampled round came up empty.
     rounds_done: usize,
     base_score: f64,
-    trees: Vec<RegTree>,
     split_counts: Vec<u64>,
     gain_sums: Vec<f64>,
+}
+
+impl GbtCheckpoint {
+    fn encode(&self, flat: &FlatForest) -> Result<Vec<u8>, String> {
+        let head = serde_json::to_string(self).map_err(|e| e.to_string())?;
+        let mut e = cats_io::io2::Enc::new();
+        e.str(&head).u8s(&flat.to_bytes());
+        Ok(e.into_bytes())
+    }
+
+    /// Decodes a checkpoint for a dataset of `n_features` features. The
+    /// forest goes through the same validation as a loaded model, so a
+    /// damaged or crafted checkpoint is rejected before any descent.
+    fn decode(bytes: &[u8], n_features: usize) -> Result<(Self, FlatForest), String> {
+        let mut d = cats_io::io2::Dec::new(bytes);
+        let head: Self = serde_json::from_str(&d.str()?).map_err(|e| e.to_string())?;
+        let flat = FlatForest::from_bytes(&d.u8s()?)?;
+        if d.remaining() != 0 {
+            return Err(format!("{} trailing bytes after gbt checkpoint", d.remaining()));
+        }
+        if head.split_counts.len() != n_features || head.gain_sums.len() != n_features {
+            return Err("checkpoint importances do not match the feature count".into());
+        }
+        check_features(&flat, n_features)?;
+        Ok((head, flat))
+    }
 }
 
 /// Fingerprint tying a checkpoint to one (config, dataset) pair. Covers
@@ -700,14 +608,6 @@ impl Classifier for GradientBoostedTrees {
     fn predict_proba(&self, row: &[f64]) -> f64 {
         assert!(self.is_fit(), "predict before fit");
         sigmoid(self.predict_margin(row))
-    }
-
-    fn predict_proba_batch(&self, cols: &ColMatrix) -> Vec<f64> {
-        assert!(self.is_fit(), "predict before fit");
-        // margin_batch is bit-identical to per-row predict_margin, and
-        // sigmoid is a pure per-element map, so this override keeps the
-        // trait's bit-identity contract while scoring tree-major.
-        self.predict_margin_batch(cols).into_iter().map(sigmoid).collect()
     }
 
     fn name(&self) -> &'static str {
@@ -1260,31 +1160,107 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flat_walk_is_bit_identical_to_recursive_walk() {
-        let d = separable(120);
-        let mut m = GradientBoostedTrees::new(cfg_small());
-        m.fit(&d);
-        assert!(m.flat_is_fresh(), "fit must rebuild the flat pool");
+    /// The enum-arena walk the flat pool replaced: the bitwise oracle
+    /// for the flat descent, rebuilt from a model's pool.
+    struct RegTree {
+        nodes: Vec<Node>,
+    }
+
+    impl RegTree {
+        fn predict(&self, row: &[f64]) -> f64 {
+            let mut node = 0usize;
+            loop {
+                match &self.nodes[node] {
+                    Node::Leaf { weight } => return *weight,
+                    Node::Split { feature, threshold, left, right } => {
+                        node = if row[*feature] < *threshold { *left } else { *right };
+                    }
+                }
+            }
+        }
+    }
+
+    /// Splits the pool back into one enum arena per tree. Tree `t` owns
+    /// the node range `[root(t), root(t+1))`, which `from_bytes` enforces.
+    fn unflatten_trees(flat: &FlatForest) -> Vec<RegTree> {
+        (0..flat.n_trees())
+            .map(|t| {
+                let start = flat.root(t) as usize;
+                let end =
+                    if t + 1 < flat.n_trees() { flat.root(t + 1) as usize } else { flat.n_nodes() };
+                let nodes = (start..end)
+                    .map(|i| match flat.node_feature(i) {
+                        crate::flat::LEAF => Node::Leaf { weight: flat.node_leaf(i) },
+                        f => {
+                            let l = flat.node_left(i) as usize;
+                            Node::Split {
+                                feature: f as usize,
+                                threshold: flat.node_threshold(i),
+                                left: l - start,
+                                right: l + 1 - start,
+                            }
+                        }
+                    })
+                    .collect();
+                RegTree { nodes }
+            })
+            .collect()
+    }
+
+    fn predict_margin_recursive(trees: &[RegTree], base_score: f64, row: &[f64]) -> f64 {
+        let mut m = base_score;
+        for t in trees {
+            m += t.predict(row);
+        }
+        m
+    }
+
+    /// Every row of `d`, plus each row with a NaN feature, must get the
+    /// same margin bits from the flat descent and the enum oracle.
+    fn assert_matches_oracle(m: &GradientBoostedTrees, d: &Dataset, what: &str) {
+        let trees = unflatten_trees(&m.flat);
+        assert_eq!(trees.len(), m.n_trees(), "{what}");
         for i in 0..d.len() {
-            assert_eq!(
-                m.predict_margin(d.row(i)).to_bits(),
-                m.predict_margin_recursive(d.row(i)).to_bits(),
-                "row {i}: flat and recursive walks diverged"
-            );
+            let mut row = d.row(i).to_vec();
+            for nan_at in [None, Some(i % row.len())] {
+                if let Some(f) = nan_at {
+                    row[f] = f64::NAN;
+                }
+                assert_eq!(
+                    m.predict_margin(&row).to_bits(),
+                    predict_margin_recursive(&trees, m.base_score, &row).to_bits(),
+                    "{what}: row {i} (NaN at {nan_at:?}): flat and enum walks diverged"
+                );
+            }
         }
     }
 
     #[test]
-    fn batch_margin_matches_scalar_bitwise() {
-        // 59 rows: seven full chunks of 8 plus a ragged tail of 3.
-        let d = separable(59);
-        let mut m = GradientBoostedTrees::new(cfg_small());
-        m.fit(&d);
-        let batch = m.predict_margin_batch(&d.to_cols());
-        assert_eq!(batch.len(), d.len());
-        for (i, b) in batch.iter().enumerate() {
-            assert_eq!(b.to_bits(), m.predict_margin(d.row(i)).to_bits(), "row {i}");
+    fn flat_walk_is_bit_identical_to_recursive_walk() {
+        let d = separable(120);
+        let mut fitted = GradientBoostedTrees::new(cfg_small());
+        fitted.fit(&d);
+        assert_matches_oracle(&fitted, &d, "fitted");
+
+        let mut early = GradientBoostedTrees::new(GbtConfig { n_trees: 200, ..cfg_small() });
+        let kept = early.fit_early_stopping(&d, &separable(40), 5);
+        assert!(kept < 200, "early stopping must truncate: {kept}");
+        assert_matches_oracle(&early, &d, "early-stopped");
+
+        let store = ckpt_store("oracle");
+        store.kill_after_saves(2);
+        let mut doomed = GradientBoostedTrees::new(cfg_ckpt());
+        let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            doomed.fit_checkpointed(&d, &store, "gbt", 5)
+        }));
+        assert!(killed.is_err(), "simulated kill fires");
+        let mut resumed = GradientBoostedTrees::new(cfg_ckpt());
+        resumed.fit_checkpointed(&d, &store, "gbt", 5);
+        assert_matches_oracle(&resumed, &d, "resumed");
+
+        for m in [&fitted, &early, &resumed] {
+            let decoded = GradientBoostedTrees::from_io2_bytes(&m.to_io2_bytes().unwrap()).unwrap();
+            assert_matches_oracle(&decoded, &d, "decoded");
         }
     }
 
@@ -1295,18 +1271,19 @@ mod tests {
         m.fit(&d);
         let bytes = m.to_io2_bytes().unwrap();
         let m2 = GradientBoostedTrees::from_io2_bytes(&bytes).unwrap();
+        let trees = unflatten_trees(&m.flat);
         for i in 0..d.len() {
             assert_eq!(
                 m.predict_margin(d.row(i)).to_bits(),
                 m2.predict_margin(d.row(i)).to_bits(),
                 "row {i}: io2-decoded model diverged"
             );
-            // The reconstructed enum arena (BFS node order) must score
-            // identically to the original DFS arena as well.
+            // The decoded model also agrees with the enum oracle built
+            // from the original's pool.
             assert_eq!(
-                m.predict_margin_recursive(d.row(i)).to_bits(),
-                m2.predict_margin_recursive(d.row(i)).to_bits(),
-                "row {i}: unflattened arena diverged"
+                m2.predict_margin(d.row(i)).to_bits(),
+                predict_margin_recursive(&trees, m.base_score, d.row(i)).to_bits(),
+                "row {i}: decoded model diverged from the enum oracle"
             );
         }
         // The binary encoding is canonical: decode → encode is
@@ -1401,6 +1378,52 @@ mod tests {
                 clean.predict_proba(d.row(i)).to_bits(),
                 "a foreign checkpoint must not leak into the fit"
             );
+        }
+    }
+
+    #[test]
+    fn crafted_checkpoints_are_rejected_and_fit_from_round_zero() {
+        let d = separable(100);
+        let mut clean = GradientBoostedTrees::new(cfg_ckpt());
+        clean.fit(&d);
+
+        // One split whose left child is itself (descent would never
+        // end), one on a feature past the row's end (descent would index
+        // out of bounds). Both carry the run's true fingerprint.
+        let mut self_link = FlatForest::new();
+        let root = self_link.push_root();
+        let l = self_link.alloc_children();
+        self_link.set_leaf(l, 1.0);
+        self_link.set_leaf(l + 1, -1.0);
+        self_link.set_split(root, 0, 0.5, root);
+        let mut past_end = self_link.clone();
+        past_end.set_split(root, d.n_features() as u32, 0.5, l);
+
+        for (name, forest) in [("self_link", self_link), ("past_end", past_end)] {
+            let store = ckpt_store(name);
+            let state = GbtCheckpoint {
+                fingerprint: ckpt_fingerprint(&cfg_ckpt(), &d),
+                rounds_done: 5,
+                base_score: 0.0,
+                split_counts: vec![0; d.n_features()],
+                gain_sums: vec![0.0; d.n_features()],
+            };
+            store.save("gbt", &state.encode(&forest).unwrap()).unwrap();
+            let before = cats_obs::counter("cats.ml.gbt.ckpt_rejected").get();
+            let mut m = GradientBoostedTrees::new(cfg_ckpt());
+            m.fit_checkpointed(&d, &store, "gbt", 5);
+            assert!(
+                cats_obs::counter("cats.ml.gbt.ckpt_rejected").get() > before,
+                "{name}: crafted checkpoint must be rejected"
+            );
+            assert_eq!(m.to_io2_bytes().unwrap(), clean.to_io2_bytes().unwrap(), "{name}");
+            for i in 0..d.len() {
+                assert_eq!(
+                    m.predict_proba(d.row(i)).to_bits(),
+                    clean.predict_proba(d.row(i)).to_bits(),
+                    "{name}: row {i} diverged from an uninterrupted fit"
+                );
+            }
         }
     }
 }

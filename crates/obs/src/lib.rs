@@ -12,8 +12,8 @@
 //!    per-thread buffers.
 //! 3. **Run profiles** ([`profile`]): a [`StageTimer`] diffs registry
 //!    snapshots around a unit of work and emits a [`RunProfile`] — the
-//!    JSON artifact behind `cats-cli --metrics-out` and the
-//!    `BENCH_*.json` per-stage breakdowns.
+//!    JSON artifact behind `cats-cli --metrics-out` and `exp_scaling`'s
+//!    `PROFILE_scaling.json`.
 //!
 //! Timing flows through a pluggable [`Observer`]: wall clock by
 //! default, a [`SimObserver`] for deterministic tests, and a

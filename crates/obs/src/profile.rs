@@ -1,7 +1,7 @@
 //! Per-run profiles: a [`StageTimer`] brackets a unit of work (one CLI
 //! invocation, one bench sweep row) and rolls every span and counter
 //! recorded in between into a [`RunProfile`] — the machine-readable
-//! artifact behind `cats-cli --metrics-out` and `BENCH_*.json`.
+//! artifact behind `cats-cli --metrics-out` and `PROFILE_scaling.json`.
 //!
 //! The registry is process-global and monotonic; the timer snapshots it
 //! at start and diffs at finish, so concurrent earlier runs don't leak

@@ -10,9 +10,8 @@
 //! 1. the 11 CATS features are extracted over the item's **windowed**
 //!    comments (order-preserving parallel map — bit-identical at any
 //!    thread count),
-//! 2. the rows go through the detector's batch path
-//!    ([`cats_core::Detector::score_rows`], the FlatForest branch-lite
-//!    scorer),
+//! 2. the rows are scored by [`cats_core::Detector::score_rows`]
+//!    (one branch-lite FlatForest descent per row),
 //! 3. each content score is fused with the item's velocity risk
 //!    ([`cats_core::fusion`]) and emitted as a [`StreamVerdict`].
 //!
@@ -361,7 +360,7 @@ impl StreamEngine {
         }
 
         // Content scoring: parallel extraction (order-preserving,
-        // thread-count independent) + FlatForest batch margins.
+        // thread-count independent) + per-row FlatForest scoring.
         let analyzer = pipeline.analyzer();
         let detector = pipeline.detector();
         let batch: Vec<&ItemComments> = slices.iter().map(|s| &s.comments).collect();
