@@ -23,7 +23,9 @@ use cats_bench::{render, setup, Args};
 use cats_core::{CatsPipeline, DetectorConfig};
 use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
 use cats_ml::{Classifier, Dataset};
-use cats_serve::{RouterConfig, ScoreClient, ScoreItem, ShardOpts, ShardProcess, TrafficTrace};
+use cats_serve::{
+    Router, RouterConfig, ScoreClient, ScoreItem, ShardOpts, ShardProcess, TrafficTrace,
+};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -183,13 +185,14 @@ fn collect_load(handles: Vec<LoadHandle>) -> LoadStats {
 fn measure_rps(exe: &Path, model: &Path, shards: usize, pool: &[ScoreItem], seed: u64) -> f64 {
     let children = spawn_shards(exe, model, shards);
     let addrs: Vec<String> = children.iter().map(|c| c.addr.clone()).collect();
-    let router = cats_bench::net::start_router_retrying(
-        &addrs,
+    let router = Router::start(
+        addrs,
         RouterConfig {
             initial_artifact: Some(model.display().to_string()),
             ..RouterConfig::default()
         },
-    );
+    )
+    .expect("bind router socket");
     let addr = router.addr().to_string();
     let stop = Arc::new(AtomicBool::new(false));
     let t0 = Instant::now();
@@ -273,13 +276,14 @@ fn main() {
     let before = cats_obs::global().snapshot();
     let mut children = spawn_shards(&exe, &model_v1, SHARDS);
     let addrs: Vec<String> = children.iter().map(|c| c.addr.clone()).collect();
-    let router = cats_bench::net::start_router_retrying(
-        &addrs,
+    let router = Router::start(
+        addrs,
         RouterConfig {
             initial_artifact: Some(model_v1.display().to_string()),
             ..RouterConfig::default()
         },
-    );
+    )
+    .expect("bind router socket");
     let addr = router.addr().to_string();
     let stop = Arc::new(AtomicBool::new(false));
     let handles = spawn_load(&addr, &pool, args.seed ^ 0xDEAD, &stop);

@@ -40,7 +40,7 @@ use cats_platform::drift::PlatformDriftConfig;
 use cats_platform::{datasets, Platform};
 use cats_serve::{
     LabelLagBuffer, LaggedExample, ModelSlot, ModelWatcher, RetrainConfig, RetrainController,
-    RetrainOutcome, ScoreClient, ScoreItem, ServeConfig,
+    RetrainOutcome, ScoreClient, ScoreItem, ServeConfig, Server,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -338,11 +338,12 @@ fn main() {
         reference.references(),
         DriftConfig { window: 256, min_window: 96, eval_every: 64, ..DriftConfig::default() },
     ));
-    let server = cats_bench::net::start_server_with_drift_retrying(
+    let server = Server::start_with_drift(
         serve_slot.clone(),
         ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() },
         Some(serve_monitor.clone()),
-    );
+    )
+    .expect("bind serve socket");
     let watcher =
         ModelWatcher::spawn(serve_slot.clone(), model_path.clone(), Duration::from_millis(30));
     let addr = server.addr().to_string();

@@ -19,7 +19,7 @@ use cats_bench::{render, setup, Args};
 use cats_core::{CatsPipeline, DetectorConfig, PipelineSnapshot};
 use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
 use cats_ml::{Classifier, Dataset};
-use cats_serve::{BatchConfig, ModelSlot, ScoreClient, ScoreItem, ServeConfig};
+use cats_serve::{BatchConfig, ModelSlot, ScoreClient, ScoreItem, ServeConfig, Server};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -168,10 +168,11 @@ fn main() {
         .collect();
 
     let slot = Arc::new(ModelSlot::new(pipeline));
-    let server = cats_bench::net::start_server_retrying(
+    let server = Server::start(
         slot.clone(),
         ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() },
-    );
+    )
+    .expect("bind serve socket");
     let addr = server.addr().to_string();
     println!("serving on {addr} ({CLIENTS} clients x {ITEMS_PER_REQUEST} items/request)");
 
@@ -222,7 +223,7 @@ fn main() {
         let snap = PipelineSnapshot::from_bytes(&swap_snapshot).expect("probe snapshot decodes");
         Arc::new(ModelSlot::new(CatsPipeline::restore(snap)))
     };
-    let probe = cats_bench::net::start_server_retrying(
+    let probe = Server::start(
         probe_slot,
         ServeConfig {
             addr: "127.0.0.1:0".into(),
@@ -234,7 +235,8 @@ fn main() {
             },
             ..ServeConfig::default()
         },
-    );
+    )
+    .expect("bind probe socket");
     let probe_addr = probe.addr().to_string();
     let probe_t0 = Instant::now();
     let probe_handles: Vec<_> = (0..16)

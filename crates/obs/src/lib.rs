@@ -4,8 +4,9 @@
 //!
 //! 1. **Metrics registry** ([`metrics`]): named [`Counter`]s,
 //!    [`Gauge`]s and fixed-bucket [`Histogram`]s backed by atomics —
-//!    handle lookup locks once, recording never does — with JSON and
-//!    Prometheus-text exporters.
+//!    handle lookup locks once, recording never does — with a
+//!    Prometheus-text exporter. (`cats-serve` serves a snapshot as JSON
+//!    through its serde `WireSnapshot`.)
 //! 2. **Spans** ([`span`]): `let _g = span!("cats.core.detect");`
 //!    scoped timers with parent–child nesting, wall/self time, an
 //!    items payload, and a bounded structured event stream fed from

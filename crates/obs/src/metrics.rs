@@ -350,11 +350,6 @@ impl Registry {
         }
     }
 
-    /// JSON export of the current state (see [`Snapshot::to_json`]).
-    pub fn to_json(&self) -> String {
-        self.snapshot().to_json()
-    }
-
     /// Prometheus text export (see [`Snapshot::to_prometheus`]).
     pub fn to_prometheus(&self) -> String {
         self.snapshot().to_prometheus()
@@ -524,56 +519,6 @@ impl Snapshot {
         self.gauges_at.get(name).copied().unwrap_or(self.taken_at_micros)
     }
 
-    /// Hand-rolled JSON object (the obs crate is dependency-free):
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {...},
-    /// "stages": {...}}` with keys in sorted order.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        push_map(&mut out, self.counters.iter().map(|(k, v)| (k, v.to_string())));
-        out.push_str("},\n  \"gauges\": {");
-        push_map(&mut out, self.gauges.iter().map(|(k, v)| (k, fmt_f64(*v))));
-        out.push_str("},\n  \"histograms\": {");
-        push_map(
-            &mut out,
-            self.hists.iter().map(|(k, h)| {
-                (
-                    k,
-                    format!(
-                        "{{\"count\": {}, \"sum\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                        h.count,
-                        fmt_f64(h.sum),
-                        fmt_f64(h.quantile(0.50).unwrap_or(0.0)),
-                        fmt_f64(h.quantile(0.95).unwrap_or(0.0)),
-                        fmt_f64(h.quantile(0.99).unwrap_or(0.0)),
-                    ),
-                )
-            }),
-        );
-        out.push_str("},\n  \"stages\": {");
-        push_map(
-            &mut out,
-            self.stages.iter().map(|(k, s)| {
-                (
-                    k,
-                    format!(
-                        "{{\"count\": {}, \"items\": {}, \"total_micros\": {}, \
-                         \"self_micros\": {}, \"p50_micros\": {}, \"p95_micros\": {}, \
-                         \"p99_micros\": {}}}",
-                        s.count,
-                        s.items,
-                        s.total_micros,
-                        s.self_micros,
-                        fmt_f64(s.hist.quantile(0.50).unwrap_or(0.0)),
-                        fmt_f64(s.hist.quantile(0.95).unwrap_or(0.0)),
-                        fmt_f64(s.hist.quantile(0.99).unwrap_or(0.0)),
-                    ),
-                )
-            }),
-        );
-        out.push_str("}\n}\n");
-        out
-    }
-
     /// Prometheus text format: every line is `name{labels} value` (or
     /// `name value`), names sanitized to `[a-zA-Z0-9_:]`. Histograms and
     /// stages export `_count`/`_sum`-style series plus
@@ -649,20 +594,6 @@ fn prom_summary(out: &mut String, name: &str, base_labels: &str, h: &HistSnapsho
             format!("{base_labels},quantile=\"{label}\"")
         };
         out.push_str(&format!("{name}{{{qlabel}}} {}\n", fmt_f64(h.quantile(q).unwrap_or(0.0))));
-    }
-}
-
-fn push_map<'a>(out: &mut String, entries: impl Iterator<Item = (&'a String, String)>) {
-    let mut first = true;
-    for (k, v) in entries {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("\n    \"{}\": {v}", json_escape(k)));
-    }
-    if !first {
-        out.push_str("\n  ");
     }
 }
 
@@ -808,15 +739,6 @@ mod tests {
             }
             parts[1].parse::<f64>().expect("value parses");
         }
-    }
-
-    #[test]
-    fn json_export_is_well_formed_enough() {
-        let r = Registry::new();
-        r.counter("a\"b").inc();
-        let json = r.to_json();
-        assert!(json.contains("a\\\"b"), "escaped: {json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

@@ -1,10 +1,7 @@
-//! Minimal HTTP/1.1 front end for the scoring service.
-//!
-//! Deliberately small: blocking `std::net`, one thread per connection,
-//! one request per connection (`Connection: close` on every response).
-//! That is plenty for a scoring sidecar whose concurrency ceiling is
-//! the batcher queue, and it keeps the crate free of any async runtime
-//! or HTTP framework. Routes:
+//! The scoring server: the routes one `cats-serve` process answers. It
+//! sits behind the front end in the private `listener` module (bind,
+//! accept loop, connection threads, request limits), which the cluster
+//! router shares. Routes:
 //!
 //! | route               | behaviour                                          |
 //! |---------------------|----------------------------------------------------|
@@ -20,36 +17,31 @@
 //! the recent drain rate, a draining server answers 503, an oversized
 //! body answers 413 — all in microseconds. A request pinned to a model
 //! version this process no longer holds answers 409 (the cluster router
-//! re-runs it at the current version).
+//! re-runs it at the current version). `score` and `ingest` share that
+//! mapping through one helper, `await_batch`.
 
-use crate::batcher::{BatchConfig, BatchReply, Batcher, RejectReason};
+use crate::batcher::{BatchConfig, BatchReply, Batcher, RejectReason, ScoredBatch};
+use crate::listener::{write_json, write_json_error, write_response, Handler, Listener, Request};
 use crate::model::ModelSlot;
 use crate::wire::{
-    AdminLoadRequest, AdminLoadResponse, ErrorResponse, HealthResponse, IngestResponse, ScoreItem,
-    ScoreResponse, WireSnapshot,
+    AdminLoadRequest, AdminLoadResponse, HealthResponse, IngestResponse, ScoreItem, ScoreResponse,
+    WireSnapshot,
 };
 use cats_stream::{CommentEvent, StreamConfig, StreamEngine};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Maximum bytes of request head (request line + headers) we accept.
-const MAX_HEAD_BYTES: usize = 16 * 1024;
+/// How long a request waits for its scored batch before 504.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Server tuning knobs.
+/// Server tuning knobs (the request limits are front-end constants).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; use port 0 to let the OS pick (tests do).
     pub addr: String,
     /// Micro-batcher tuning.
     pub batch: BatchConfig,
-    /// Largest accepted `POST /v1/score` body; beyond this, 413.
-    pub max_body_bytes: usize,
-    /// How long a request may wait for its scored batch before 504.
-    pub request_timeout: Duration,
     /// Sliding-window tuning for `POST /v1/ingest`.
     pub stream: StreamConfig,
 }
@@ -59,8 +51,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:7878".to_string(),
             batch: BatchConfig::default(),
-            max_body_bytes: 8 * 1024 * 1024,
-            request_timeout: Duration::from_secs(60),
             stream: StreamConfig::default(),
         }
     }
@@ -69,8 +59,6 @@ impl Default for ServeConfig {
 struct ServerShared {
     batcher: Batcher,
     slot: Arc<ModelSlot>,
-    stop: AtomicBool,
-    config: ServeConfig,
     /// Sliding-window state behind `/v1/ingest`. One engine per server:
     /// ingest holds the lock for O(1) ring updates only; scoring goes
     /// through the (unlocked) micro-batcher.
@@ -81,12 +69,11 @@ struct ServerShared {
     drift: Option<Arc<cats_obs::DriftMonitor>>,
 }
 
-/// The running HTTP server: an accept loop plus per-connection threads.
+/// The running HTTP server: the shared front end plus the batcher and
+/// stream state its routes use.
 pub struct Server {
     shared: Arc<ServerShared>,
-    accept_thread: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    local_addr: SocketAddr,
+    listener: Listener,
 }
 
 impl Server {
@@ -103,32 +90,18 @@ impl Server {
         config: ServeConfig,
         drift: Option<Arc<cats_obs::DriftMonitor>>,
     ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let shared = Arc::new(ServerShared {
-            batcher: Batcher::new_with_drift(slot.clone(), config.batch.clone(), drift.clone()),
+        let (listener, shared) = Listener::start(&config.addr, "serve", || ServerShared {
+            batcher: Batcher::new_with_drift(slot.clone(), config.batch, drift.clone()),
             slot,
-            stop: AtomicBool::new(false),
-            stream: Mutex::new(StreamEngine::new(config.stream.clone())),
-            config,
+            stream: Mutex::new(StreamEngine::new(config.stream)),
             drift,
-        });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept_thread = {
-            let shared = shared.clone();
-            let conns = conns.clone();
-            std::thread::Builder::new()
-                .name("cats-serve-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, &conns))
-                .expect("spawn accept loop")
-        };
-        Ok(Self { shared, accept_thread: Some(accept_thread), conns, local_addr })
+        })?;
+        Ok(Self { shared, listener })
     }
 
     /// The bound address (resolves port 0 to the real port).
     pub fn addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.addr()
     }
 
     /// Current batcher queue depth (exposed for health checks/tests).
@@ -151,209 +124,49 @@ impl Server {
 
     /// Graceful shutdown: stop accepting, answer everything already
     /// accepted (draining the batch queue), then join every thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-        // Drain the batcher first: handler threads blocked on a scored
-        // batch get their reply and finish fast.
-        self.shared.batcher.shutdown();
-        let handles =
-            std::mem::take(&mut *cats_obs::lock_recover(&self.conns, "cats.serve.http.conns"));
-        for h in handles {
-            let _ = h.join();
-        }
+    /// Dropping the server does the same.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.stop_and_join();
+        // Drain the batcher before joining connections: handler threads
+        // blocked on a scored batch get their reply and finish fast.
+        let batcher = &self.shared.batcher;
+        self.listener.shutdown(|| batcher.shutdown());
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<ServerShared>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    let accepted = cats_obs::counter("cats.serve.http.accepted");
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                accepted.inc();
-                let shared = shared.clone();
-                let handle = std::thread::Builder::new()
-                    .name("cats-serve-conn".into())
-                    .spawn(move || handle_connection(stream, &shared))
-                    .expect("spawn connection handler");
-                let mut hs = cats_obs::lock_recover(conns, "cats.serve.http.conns");
-                hs.push(handle);
-                // Reap finished handlers so the list stays bounded
-                // under sustained load.
-                let mut i = 0;
-                while i < hs.len() {
-                    if hs[i].is_finished() {
-                        let _ = hs.swap_remove(i).join();
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
+impl Handler for ServerShared {
+    fn accepted(&self) {
+        cats_obs::counter("cats.serve.http.accepted").inc();
     }
-}
 
-/// Parsed request head: method, path and declared body length.
-pub(crate) struct RequestHead {
-    pub(crate) method: String,
-    pub(crate) path: String,
-    pub(crate) content_length: usize,
-}
-
-/// Parses an HTTP/1.1 request head (everything before the blank line).
-fn parse_head(head: &str) -> Result<RequestHead, String> {
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or_default();
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().ok_or("empty request line")?.to_string();
-    let path = parts.next().ok_or("missing request path")?.to_string();
-    let mut content_length = 0usize;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length =
-                    value.trim().parse().map_err(|_| "bad content-length".to_string())?;
-            }
-        }
+    fn serve(&self, stream: &mut TcpStream, request: &Request) {
+        let status = route(stream, self, request);
+        cats_obs::histogram("cats.serve.http.latency_ms")
+            .record(request.started.elapsed().as_secs_f64() * 1e3);
+        cats_obs::counter(match status {
+            200 => "cats.serve.http.status.200",
+            429 => "cats.serve.http.status.429",
+            500 => "cats.serve.http.status.500",
+            503 => "cats.serve.http.status.503",
+            _ => "cats.serve.http.status.other",
+        })
+        .inc();
     }
-    Ok(RequestHead { method, path, content_length })
-}
 
-/// Reads one request (head + body) off the stream.
-pub(crate) fn read_request(
-    stream: &mut TcpStream,
-    max_body: usize,
-) -> Result<(RequestHead, String), (u16, String)> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err((431, "request head too large".into()));
-        }
-        let n = stream.read(&mut chunk).map_err(|e| (400, format!("read: {e}")))?;
-        if n == 0 {
-            return Err((400, "connection closed mid-request".into()));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head_str = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    let head = parse_head(&head_str).map_err(|e| (400, e))?;
-    if head.content_length > max_body {
-        return Err((413, format!("body exceeds {max_body} bytes")));
+    fn refused(&self) {
+        cats_obs::counter("cats.serve.http.bad_request").inc();
     }
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < head.content_length {
-        let n = stream.read(&mut chunk).map_err(|e| (400, format!("read body: {e}")))?;
-        if n == 0 {
-            return Err((400, "connection closed mid-body".into()));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(head.content_length);
-    let body = String::from_utf8(body).map_err(|_| (400, "body is not UTF-8".to_string()))?;
-    Ok((head, body))
-}
-
-/// Byte offset of the `\r\n\r\n` head terminator, if present.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-pub(crate) fn status_text(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        409 => "Conflict",
-        413 => "Payload Too Large",
-        429 => "Too Many Requests",
-        431 => "Request Header Fields Too Large",
-        502 => "Bad Gateway",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "Internal Server Error",
-    }
-}
-
-pub(crate) fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    extra_headers: &str,
-    body: &str,
-) {
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{extra_headers}Connection: close\r\n\r\n",
-        status_text(status),
-        body.len(),
-    );
-    // The client may already be gone; that is its problem, not ours.
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
-}
-
-pub(crate) fn write_json_error(
-    stream: &mut TcpStream,
-    status: u16,
-    extra_headers: &str,
-    msg: &str,
-) {
-    let body = serde_json::to_string(&ErrorResponse { error: msg.to_string() })
-        .unwrap_or_else(|_| "{\"error\":\"internal\"}".to_string());
-    write_response(stream, status, "application/json", extra_headers, &body);
-}
-
-fn handle_connection(mut stream: TcpStream, shared: &ServerShared) {
-    let started = Instant::now();
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let (head, body) = match read_request(&mut stream, shared.config.max_body_bytes) {
-        Ok(ok) => ok,
-        Err((status, msg)) => {
-            cats_obs::counter("cats.serve.http.bad_request").inc();
-            write_json_error(&mut stream, status, "", &msg);
-            return;
-        }
-    };
-    let status = route(&mut stream, shared, &head, &body);
-    cats_obs::histogram("cats.serve.http.latency_ms").record(started.elapsed().as_secs_f64() * 1e3);
-    cats_obs::counter(match status {
-        200 => "cats.serve.http.status.200",
-        429 => "cats.serve.http.status.429",
-        500 => "cats.serve.http.status.500",
-        503 => "cats.serve.http.status.503",
-        _ => "cats.serve.http.status.other",
-    })
-    .inc();
 }
 
 /// Dispatches one parsed request and returns the response status.
-fn route(stream: &mut TcpStream, shared: &ServerShared, head: &RequestHead, body: &str) -> u16 {
-    match (head.method.as_str(), head.path.as_str()) {
+fn route(stream: &mut TcpStream, shared: &ServerShared, request: &Request) -> u16 {
+    let body = request.body.as_str();
+    match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/v1/score") => score(stream, shared, body),
         ("POST", "/v1/ingest") => ingest(stream, shared, body),
         ("GET", "/healthz") => {
@@ -368,8 +181,7 @@ fn route(stream: &mut TcpStream, shared: &ServerShared, head: &RequestHead, body
                     .map(|m| m.verdict().as_str().to_string())
                     .unwrap_or_else(|| "off".to_string()),
             };
-            let body = serde_json::to_string(&resp).expect("health serializes");
-            write_response(stream, 200, "application/json", "", &body);
+            write_json(stream, &resp);
             200
         }
         ("GET", "/metrics") => {
@@ -379,18 +191,70 @@ fn route(stream: &mut TcpStream, shared: &ServerShared, head: &RequestHead, body
         }
         ("GET", "/metrics.json") => {
             let wire: WireSnapshot = (&cats_obs::global().snapshot()).into();
-            let body = serde_json::to_string(&wire).expect("snapshot serializes");
-            write_response(stream, 200, "application/json", "", &body);
+            write_json(stream, &wire);
             200
         }
         ("POST", "/admin/load") => admin_load(stream, shared, body),
         ("POST" | "GET", _) => {
-            write_json_error(stream, 404, "", &format!("no such route: {}", head.path));
+            write_json_error(stream, 404, "", &format!("no such route: {}", request.path));
             404
         }
         _ => {
-            write_json_error(stream, 405, "", &format!("method {} not allowed", head.method));
+            write_json_error(stream, 405, "", &format!("method {} not allowed", request.method));
             405
+        }
+    }
+}
+
+/// Waits for the batch a submit queued and returns it scored. Every
+/// other outcome is answered here, and its status returned as the
+/// error: a full queue is 429 with a `Retry-After`, a draining server
+/// 503, a pin this process no longer holds 409, a timeout 504 and a
+/// dropped reply 500.
+fn await_batch(
+    stream: &mut TcpStream,
+    shared: &ServerShared,
+    submitted: Result<mpsc::Receiver<BatchReply>, RejectReason>,
+) -> Result<ScoredBatch, u16> {
+    let rx = match submitted {
+        Ok(rx) => rx,
+        Err(RejectReason::QueueFull) => {
+            // Honest backpressure: promise a retry window derived from
+            // how deep the queue is and how fast it has been draining,
+            // not a hardcoded guess.
+            let retry_after = format!("Retry-After: {}\r\n", shared.batcher.retry_after_secs());
+            write_json_error(stream, 429, &retry_after, "queue full, retry later");
+            return Err(429);
+        }
+        Err(RejectReason::Draining) => {
+            write_json_error(stream, 503, "", "server is draining");
+            return Err(503);
+        }
+    };
+    match rx.recv_timeout(REQUEST_TIMEOUT) {
+        Ok(BatchReply::Scored(scored)) => Ok(scored),
+        Ok(BatchReply::PinUnavailable { pinned, current }) => {
+            // Only pinned submissions get this reply.
+            write_json_error(
+                stream,
+                409,
+                "",
+                &format!("model version {pinned} is gone (serving v{current})"),
+            );
+            Err(409)
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            write_json_error(stream, 504, "", "scoring timed out");
+            Err(504)
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            // The batch worker panicked after popping this request and
+            // dropped the reply sender. The supervisor respawns the
+            // worker; this client gets an immediate, explicit 500 — an
+            // *answered* failure, never a dropped or stalled socket.
+            cats_obs::counter("cats.serve.http.internal_errors").inc();
+            write_json_error(stream, 500, "", "internal scoring error");
+            Err(500)
         }
     }
 }
@@ -403,52 +267,13 @@ fn score(stream: &mut TcpStream, shared: &ServerShared, body: &str) -> u16 {
             return 400;
         }
     };
-    let rx = match shared.batcher.submit_pinned(items, pin) {
-        Ok(rx) => rx,
-        Err(RejectReason::QueueFull) => {
-            // Honest backpressure: promise a retry window derived from
-            // how deep the queue is and how fast it has been draining,
-            // not a hardcoded guess.
-            let retry_after = format!("Retry-After: {}\r\n", shared.batcher.retry_after_secs());
-            write_json_error(stream, 429, &retry_after, "queue full, retry later");
-            return 429;
-        }
-        Err(RejectReason::Draining) => {
-            write_json_error(stream, 503, "", "server is draining");
-            return 503;
-        }
+    let scored = match await_batch(stream, shared, shared.batcher.submit_pinned(items, pin)) {
+        Ok(scored) => scored,
+        Err(status) => return status,
     };
-    match rx.recv_timeout(shared.config.request_timeout) {
-        Ok(BatchReply::Scored(scored)) => {
-            let resp =
-                ScoreResponse { model_version: scored.model_version, verdicts: scored.verdicts };
-            let body = serde_json::to_string(&resp).expect("score response serializes");
-            write_response(stream, 200, "application/json", "", &body);
-            200
-        }
-        Ok(BatchReply::PinUnavailable { pinned, current }) => {
-            write_json_error(
-                stream,
-                409,
-                "",
-                &format!("model version {pinned} is gone (serving v{current})"),
-            );
-            409
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            write_json_error(stream, 504, "", "scoring timed out");
-            504
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            // The batch worker panicked after popping this request and
-            // dropped the reply sender. The supervisor respawns the
-            // worker; this client gets an immediate, explicit 500 — an
-            // *answered* failure, never a dropped or stalled socket.
-            cats_obs::counter("cats.serve.http.internal_errors").inc();
-            write_json_error(stream, 500, "", "internal scoring error");
-            500
-        }
-    }
+    let resp = ScoreResponse { model_version: scored.model_version, verdicts: scored.verdicts };
+    write_json(stream, &resp);
+    200
 }
 
 /// `POST /v1/ingest`: feed comment events into the sliding-window
@@ -505,8 +330,7 @@ fn ingest(stream: &mut TcpStream, shared: &ServerShared, body: &str) -> u16 {
             watermark_ms,
             verdicts: Vec::new(),
         };
-        let body = serde_json::to_string(&resp).expect("ingest response serializes");
-        write_response(stream, 200, "application/json", "", &body);
+        write_json(stream, &resp);
         return 200;
     }
 
@@ -518,77 +342,42 @@ fn ingest(stream: &mut TcpStream, shared: &ServerShared, body: &str) -> u16 {
             comments: s.comments.texts.clone(),
         })
         .collect();
-    let rx = match shared.batcher.submit(items) {
-        Ok(rx) => rx,
-        Err(RejectReason::QueueFull) => {
-            let retry_after = format!("Retry-After: {}\r\n", shared.batcher.retry_after_secs());
-            write_json_error(stream, 429, &retry_after, "queue full, retry later");
-            return 429;
-        }
-        Err(RejectReason::Draining) => {
-            write_json_error(stream, 503, "", "server is draining");
-            return 503;
-        }
+    let scored = match await_batch(stream, shared, shared.batcher.submit(items)) {
+        Ok(scored) => scored,
+        Err(status) => return status,
     };
-    match rx.recv_timeout(shared.config.request_timeout) {
-        Ok(BatchReply::Scored(scored)) => {
-            // Read the threshold from the model that actually scored
-            // the batch (fall back to current across a concurrent swap).
-            let model = shared
-                .slot
-                .load_version(scored.model_version)
-                .unwrap_or_else(|| shared.slot.load());
-            let threshold = model.pipeline.detector().threshold();
-            let verdicts = slices
-                .iter()
-                .zip(&scored.verdicts)
-                .map(|(s, v)| {
-                    let risk = cats_core::velocity_risk(&s.velocity);
-                    let fused = cats_core::fuse_scores(v.score, risk, fusion_weight);
-                    cats_core::StreamVerdict {
-                        item_id: s.item_id,
-                        at_ms: watermark_ms,
-                        window_comments: s.comments.len() as u32,
-                        cats_score: v.score,
-                        velocity_risk: risk,
-                        fused_score: fused,
-                        is_fraud: fused >= threshold,
-                    }
-                })
-                .collect();
-            cats_obs::counter("cats.serve.ingest.flushes").inc();
-            let resp = IngestResponse {
-                model_version: scored.model_version,
-                accepted,
-                late_dropped,
-                watermark_ms,
-                verdicts,
-            };
-            let body = serde_json::to_string(&resp).expect("ingest response serializes");
-            write_response(stream, 200, "application/json", "", &body);
-            200
-        }
-        Ok(BatchReply::PinUnavailable { pinned, current }) => {
-            // Unpinned submissions never get this reply; keep the arm
-            // total rather than panicking a connection thread.
-            write_json_error(
-                stream,
-                409,
-                "",
-                &format!("model version {pinned} is gone (serving v{current})"),
-            );
-            409
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            write_json_error(stream, 504, "", "scoring timed out");
-            504
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            cats_obs::counter("cats.serve.http.internal_errors").inc();
-            write_json_error(stream, 500, "", "internal scoring error");
-            500
-        }
-    }
+    // Read the threshold from the model that actually scored the batch
+    // (fall back to current across a concurrent swap).
+    let model =
+        shared.slot.load_version(scored.model_version).unwrap_or_else(|| shared.slot.load());
+    let threshold = model.pipeline.detector().threshold();
+    let verdicts = slices
+        .iter()
+        .zip(&scored.verdicts)
+        .map(|(s, v)| {
+            let risk = cats_core::velocity_risk(&s.velocity);
+            let fused = cats_core::fuse_scores(v.score, risk, fusion_weight);
+            cats_core::StreamVerdict {
+                item_id: s.item_id,
+                at_ms: watermark_ms,
+                window_comments: s.comments.len() as u32,
+                cats_score: v.score,
+                velocity_risk: risk,
+                fused_score: fused,
+                is_fraud: fused >= threshold,
+            }
+        })
+        .collect();
+    cats_obs::counter("cats.serve.ingest.flushes").inc();
+    let resp = IngestResponse {
+        model_version: scored.model_version,
+        accepted,
+        late_dropped,
+        watermark_ms,
+        verdicts,
+    };
+    write_json(stream, &resp);
+    200
 }
 
 /// `POST /admin/load`: parse, validate and install a snapshot file as a
@@ -607,9 +396,7 @@ fn admin_load(stream: &mut TcpStream, shared: &ServerShared, body: &str) -> u16 
         Ok(pipeline) => {
             let version = shared.slot.swap_tagged(pipeline, req.version);
             cats_obs::counter("cats.serve.admin.loads").inc();
-            let body = serde_json::to_string(&AdminLoadResponse { version })
-                .expect("admin response serializes");
-            write_response(stream, 200, "application/json", "", &body);
+            write_json(stream, &AdminLoadResponse { version });
             200
         }
         Err(e) => {
@@ -617,45 +404,5 @@ fn admin_load(stream: &mut TcpStream, shared: &ServerShared, body: &str) -> u16 
             write_json_error(stream, 400, "", &format!("load: {e}"));
             400
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn head_parsing_extracts_method_path_and_length() {
-        let head =
-            parse_head("POST /v1/score HTTP/1.1\r\nHost: x\r\ncontent-LENGTH: 42\r\nAccept: */*")
-                .unwrap();
-        assert_eq!(head.method, "POST");
-        assert_eq!(head.path, "/v1/score");
-        assert_eq!(head.content_length, 42);
-        let bare = parse_head("GET /healthz HTTP/1.1").unwrap();
-        assert_eq!(bare.content_length, 0, "missing content-length means empty body");
-        assert!(parse_head("").is_err());
-        assert!(parse_head("GET").is_err(), "path is required");
-        assert!(
-            parse_head("POST / HTTP/1.1\r\nContent-Length: nope").is_err(),
-            "unparseable length is a 400, not a silent zero"
-        );
-    }
-
-    #[test]
-    fn head_terminator_is_found_across_chunk_boundaries() {
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nrest"), Some(14));
-        assert_eq!(find_head_end(b"partial\r\n"), None);
-        assert_eq!(find_head_end(b""), None);
-    }
-
-    #[test]
-    fn status_lines_cover_the_codes_we_emit() {
-        for code in [200, 400, 404, 405, 409, 413, 429, 431, 502, 503, 504] {
-            assert!(!status_text(code).is_empty());
-        }
-        assert_eq!(status_text(409), "Conflict");
-        assert_eq!(status_text(500), "Internal Server Error");
-        assert_eq!(status_text(599), "Internal Server Error");
     }
 }

@@ -17,12 +17,13 @@
 //!    [`cats_core::CatsPipeline::detect`] call (which fans out onto the
 //!    `cats-par` pool). Queue overflow and drain are surfaced as typed
 //!    rejections, not stalls.
-//! 4. **HTTP server** ([`http`]): a minimal HTTP/1.1 listener exposing
-//!    `POST /v1/score`, `POST /v1/ingest` (the `cats-stream`
-//!    sliding-window lane, flushing through the same micro-batcher),
-//!    `GET /healthz` and `GET /metrics` (the `cats-obs` Prometheus
-//!    exporter), mapping [`RejectReason`] to 429/503 and draining
-//!    gracefully on shutdown.
+//! 4. **HTTP server** ([`http`]): the routes `POST /v1/score`,
+//!    `POST /v1/ingest` (the `cats-stream` sliding-window lane, flushing
+//!    through the same micro-batcher), `GET /healthz` and `GET /metrics`
+//!    (the `cats-obs` Prometheus exporter), mapping [`RejectReason`] to
+//!    429/503 and draining gracefully on shutdown.
+//!    The server and the cluster [`router`] share one private front end
+//!    (`listener`): bind, accept loop, connection threads, request limits.
 //!
 //! A small blocking [`client`] rounds it out: it is what `cats-cli
 //! score`, the `exp_serve` load generator and the integration tests
@@ -59,6 +60,7 @@ pub mod chaos;
 pub mod client;
 pub mod health;
 pub mod http;
+mod listener;
 pub mod model;
 pub mod retrain;
 pub mod router;

@@ -32,22 +32,30 @@
 //! the old version until the bump and resolve via the shards' previous
 //! slot; requests after the bump pin the new version. No request can
 //! observe both.
+//!
+//! The router answers HTTP through the same front end as a scoring
+//! [`crate::Server`], so it reads requests under the same limits.
 
 use crate::chaos::ChaosRng;
 use crate::client::{ClientError, ScoreClient};
 use crate::health::{HealthConfig, HealthEvent, ShardHealth, ShardState};
-use crate::http::{read_request, write_json_error, write_response, RequestHead};
+use crate::listener::{write_json, write_json_error, write_response, Handler, Listener, Request};
 use crate::wire::{
     parse_score_request, RouterHealthResponse, ScoreItem, ScoreResponse, ScoreVerdict,
     ShardHealthInfo, WireSnapshot,
 };
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Router tuning knobs.
+/// Whole-request attempts on a version conflict (409 mid-swap).
+const MAX_ATTEMPTS: usize = 4;
+/// Per-sub-request read/write budget against a shard.
+const SHARD_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Router tuning knobs (the request limits are front-end constants).
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Bind address for the router's own HTTP front end.
@@ -56,10 +64,6 @@ pub struct RouterConfig {
     pub health: HealthConfig,
     /// Virtual nodes per shard on the hash ring.
     pub virtual_nodes: usize,
-    /// Whole-request attempts on a version conflict (409 mid-swap).
-    pub max_attempts: usize,
-    /// Per-sub-request read/write budget against a shard.
-    pub shard_timeout: Duration,
     /// Per-sub-request connect budget (tight: a dead shard must fail
     /// fast so the failover replay stays cheap).
     pub shard_connect_timeout: Duration,
@@ -75,8 +79,6 @@ impl Default for RouterConfig {
             addr: "127.0.0.1:0".to_string(),
             health: HealthConfig::default(),
             virtual_nodes: 64,
-            max_attempts: 4,
-            shard_timeout: Duration::from_secs(30),
             shard_connect_timeout: Duration::from_millis(500),
             initial_artifact: None,
         }
@@ -163,6 +165,7 @@ struct RouterShared {
     last_artifact: Mutex<Option<(String, u64)>>,
     /// Serializes rolling swaps.
     swap_lock: Mutex<()>,
+    /// Stops the health prober.
     stop: AtomicBool,
     config: RouterConfig,
 }
@@ -170,7 +173,7 @@ struct RouterShared {
 impl RouterShared {
     fn client(&self, addr: &str) -> ScoreClient {
         ScoreClient::new(addr)
-            .with_timeout(self.config.shard_timeout)
+            .with_timeout(SHARD_TIMEOUT)
             .with_connect_timeout(self.config.shard_connect_timeout)
     }
 
@@ -184,19 +187,14 @@ impl RouterShared {
 /// The running cluster router.
 pub struct Router {
     shared: Arc<RouterShared>,
-    accept_thread: Option<JoinHandle<()>>,
+    listener: Listener,
     prober_thread: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    local_addr: SocketAddr,
 }
 
 impl Router {
     /// Binds the router over the given shard addresses and starts the
     /// accept loop and the health prober.
     pub fn start(shard_addrs: Vec<String>, config: RouterConfig) -> std::io::Result<Router> {
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let shards = shard_addrs
             .into_iter()
             .enumerate()
@@ -209,7 +207,8 @@ impl Router {
             .collect::<Vec<_>>();
         let ring = HashRing::new(shards.len(), config.virtual_nodes);
         let initial = config.initial_artifact.clone().map(|p| (p, 1));
-        let shared = Arc::new(RouterShared {
+        let addr = config.addr.clone();
+        let (listener, shared) = Listener::start(&addr, "router", || RouterShared {
             shards,
             ring,
             cluster_version: AtomicU64::new(1),
@@ -217,16 +216,7 @@ impl Router {
             swap_lock: Mutex::new(()),
             stop: AtomicBool::new(false),
             config,
-        });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept_thread = {
-            let shared = shared.clone();
-            let conns = conns.clone();
-            std::thread::Builder::new()
-                .name("cats-router-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, &conns))
-                .expect("spawn router accept loop")
-        };
+        })?;
         let prober_thread = {
             let shared = shared.clone();
             std::thread::Builder::new()
@@ -234,18 +224,12 @@ impl Router {
                 .spawn(move || prober_loop(&shared))
                 .expect("spawn router prober")
         };
-        Ok(Router {
-            shared,
-            accept_thread: Some(accept_thread),
-            prober_thread: Some(prober_thread),
-            conns,
-            local_addr,
-        })
+        Ok(Router { shared, listener, prober_thread: Some(prober_thread) })
     }
 
     /// The bound address (resolves port 0 to the real port).
     pub fn addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.addr()
     }
 
     /// The cluster-coordinated model version.
@@ -255,16 +239,7 @@ impl Router {
 
     /// Per-shard `(id, addr, state, last seen model version)`.
     pub fn shard_states(&self) -> Vec<ShardHealthInfo> {
-        self.shared
-            .shards
-            .iter()
-            .map(|s| ShardHealthInfo {
-                id: s.id,
-                addr: s.addr.clone(),
-                state: s.state().as_str().to_string(),
-                model_version: s.last_version.load(Ordering::Relaxed),
-            })
-            .collect()
+        shard_states(&self.shared)
     }
 
     /// Coordinated rolling swap: install `path` on every live shard
@@ -278,90 +253,50 @@ impl Router {
     }
 
     /// Stops accepting, joins the prober and every connection thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.prober_thread.take() {
-            let _ = h.join();
-        }
-        let handles =
-            std::mem::take(&mut *cats_obs::lock_recover(&self.conns, "cats.serve.router.conns"));
-        for h in handles {
-            let _ = h.join();
-        }
+    /// Dropping the router does the same.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for Router {
     fn drop(&mut self) {
-        self.stop_and_join();
+        let (shared, prober) = (&self.shared, &mut self.prober_thread);
+        self.listener.shutdown(|| {
+            shared.stop.store(true, Ordering::Release);
+            if let Some(h) = prober.take() {
+                let _ = h.join();
+            }
+        });
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<RouterShared>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = shared.clone();
-                let handle = std::thread::Builder::new()
-                    .name("cats-router-conn".into())
-                    .spawn(move || handle_connection(stream, &shared))
-                    .expect("spawn router connection handler");
-                let mut hs = cats_obs::lock_recover(conns, "cats.serve.router.conns");
-                hs.push(handle);
-                let mut i = 0;
-                while i < hs.len() {
-                    if hs[i].is_finished() {
-                        let _ = hs.swap_remove(i).join();
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
+/// The shard list of [`Router::shard_states`] and `/healthz`.
+fn shard_states(shared: &RouterShared) -> Vec<ShardHealthInfo> {
+    shared
+        .shards
+        .iter()
+        .map(|s| ShardHealthInfo {
+            id: s.id,
+            addr: s.addr.clone(),
+            state: s.state().as_str().to_string(),
+            model_version: s.last_version.load(Ordering::Relaxed),
+        })
+        .collect()
+}
+
+impl Handler for RouterShared {
+    fn serve(&self, stream: &mut TcpStream, request: &Request) {
+        route(stream, self, request);
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &RouterShared) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let (head, body) = match read_request(&mut stream, 8 * 1024 * 1024) {
-        Ok(ok) => ok,
-        Err((status, msg)) => {
-            write_json_error(&mut stream, status, "", &msg);
-            return;
-        }
-    };
-    route(&mut stream, shared, &head, &body);
-}
-
-fn route(stream: &mut TcpStream, shared: &RouterShared, head: &RequestHead, body: &str) {
-    match (head.method.as_str(), head.path.as_str()) {
+fn route(stream: &mut TcpStream, shared: &RouterShared, request: &Request) {
+    let body = request.body.as_str();
+    match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/v1/score") => score(stream, shared, body),
         ("GET", "/healthz") => {
-            let shards: Vec<ShardHealthInfo> = shared
-                .shards
-                .iter()
-                .map(|s| ShardHealthInfo {
-                    id: s.id,
-                    addr: s.addr.clone(),
-                    state: s.state().as_str().to_string(),
-                    model_version: s.last_version.load(Ordering::Relaxed),
-                })
-                .collect();
+            let shards = shard_states(shared);
             let live = shards.iter().filter(|s| s.state == "live").count();
             let version = shared.cluster_version.load(Ordering::Acquire);
             let resp = RouterHealthResponse {
@@ -372,8 +307,7 @@ fn route(stream: &mut TcpStream, shared: &RouterShared, head: &RequestHead, body
                 live_shards: live,
                 shards,
             };
-            let body = serde_json::to_string(&resp).expect("router health serializes");
-            write_response(stream, 200, "application/json", "", &body);
+            write_json(stream, &resp);
         }
         ("GET", "/metrics") => {
             let text = cluster_prometheus(shared);
@@ -382,8 +316,7 @@ fn route(stream: &mut TcpStream, shared: &RouterShared, head: &RequestHead, body
         ("GET", "/metrics.json") => {
             let merged = merged_snapshot(shared);
             let wire: WireSnapshot = (&merged).into();
-            let body = serde_json::to_string(&wire).expect("merged snapshot serializes");
-            write_response(stream, 200, "application/json", "", &body);
+            write_json(stream, &wire);
         }
         ("POST", "/admin/swap") => {
             #[derive(serde::Deserialize)]
@@ -411,10 +344,10 @@ fn route(stream: &mut TcpStream, shared: &RouterShared, head: &RequestHead, body
             }
         }
         ("POST" | "GET", _) => {
-            write_json_error(stream, 404, "", &format!("no such route: {}", head.path));
+            write_json_error(stream, 404, "", &format!("no such route: {}", request.path));
         }
         _ => {
-            write_json_error(stream, 405, "", &format!("method {} not allowed", head.method));
+            write_json_error(stream, 405, "", &format!("method {} not allowed", request.method));
         }
     }
 }
@@ -446,19 +379,15 @@ fn score(stream: &mut TcpStream, shared: &RouterShared, body: &str) {
                 .unwrap_or_else(|| shared.cluster_version.load(Ordering::Acquire)),
             verdicts: Vec::new(),
         };
-        let body = serde_json::to_string(&resp).expect("score response serializes");
-        write_response(stream, 200, "application/json", "", &body);
+        write_json(stream, &resp);
         return;
     }
-    let attempts = shared.config.max_attempts.max(1);
     let mut last_err: Option<AttemptError> = None;
-    for _ in 0..attempts {
+    for _ in 0..MAX_ATTEMPTS {
         let pin = client_pin.unwrap_or_else(|| shared.cluster_version.load(Ordering::Acquire));
         match score_once(shared, &items, pin) {
             Ok(verdicts) => {
-                let resp = ScoreResponse { model_version: pin, verdicts };
-                let body = serde_json::to_string(&resp).expect("score response serializes");
-                write_response(stream, 200, "application/json", "", &body);
+                write_json(stream, &ScoreResponse { model_version: pin, verdicts });
                 return;
             }
             Err(AttemptError::Conflict) if client_pin.is_none() => {

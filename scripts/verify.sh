@@ -29,6 +29,10 @@ bench() {
 
 scripts/check.sh
 cargo build --release "${LOCKED[@]}"
+# perf/ is a package of its own (own Cargo.lock, built --locked): build
+# it and run its self-tests, so a change to the API it uses or to a
+# manifest it depends on fails here, not only in CI's perf job.
+(cd perf && cargo build --release --offline --locked && cargo test --offline)
 # Smoke-run the full-pipeline scaling sweep at a tiny scale; exercises
 # every parallel stage end-to-end and writes the per-run profile
 # PROFILE_scaling.json (rendered by `cats-cli metrics`).

@@ -6,16 +6,22 @@
 
 use cats::core::pipeline::PipelineSnapshot;
 use cats::core::semantic::SemanticConfig;
+use cats::core::StreamVerdict;
 use cats::core::{CatsPipeline, DetectorConfig, ItemComments, SemanticAnalyzer};
 use cats::embedding::{ExpansionConfig, Word2VecConfig};
 use cats::ml::gbt::{GbtConfig, GradientBoostedTrees};
 use cats::ml::{Classifier, Dataset};
 use cats::platform::comment_model::{generate_comment, CommentStyle};
 use cats::platform::datasets;
+use cats::platform::{TemporalTrace, TraceConfig};
 use cats::serve::{
-    BatchConfig, ClientError, ModelSlot, ScoreClient, ScoreItem, ServeConfig, Server,
+    BatchConfig, ClientError, IngestEvent, IngestResponse, ModelSlot, Router, RouterConfig,
+    ScoreClient, ScoreItem, ServeConfig, Server,
 };
+use cats::stream::{CommentEvent, StreamEngine};
 use rand::{rngs::StdRng, SeedableRng};
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -301,29 +307,168 @@ fn healthz_and_metrics_report_serving_state() {
     server.shutdown();
 }
 
+/// One front-end contract case: raw request bytes, whether the client
+/// half-closes its write side after sending them, and the status the
+/// front end must answer with.
+struct Case {
+    name: &'static str,
+    request: Vec<u8>,
+    half_close: bool,
+    status: u16,
+}
+
+/// Requests every HTTP front end (scoring server and cluster router)
+/// must refuse the same way: the shared reader's limits and errors,
+/// plus routing misses.
+fn front_end_cases() -> Vec<Case> {
+    let not_json = "{definitely not json";
+    // Just over the 16 KiB head limit and never terminated: the reader
+    // consumes every byte before it answers, so the close cannot reset.
+    let mut long_head = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+    long_head.resize(16 * 1024 + 1, b'a');
+    let case = |name, request: String, status| Case {
+        name,
+        request: request.into_bytes(),
+        half_close: false,
+        status,
+    };
+    vec![
+        case(
+            "body is not JSON",
+            format!(
+                "POST /v1/score HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{not_json}",
+                not_json.len()
+            ),
+            400,
+        ),
+        case(
+            "declared body over 8 MiB",
+            format!("POST /v1/score HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 8 * 1024 * 1024 + 1),
+            413,
+        ),
+        Case { name: "head over 16 KiB", request: long_head, half_close: false, status: 431 },
+        Case {
+            name: "client half-closes mid-body",
+            request: b"POST /v1/score HTTP/1.1\r\nContent-Length: 100\r\n\r\n[{\"item_id\""
+                .to_vec(),
+            half_close: true,
+            status: 400,
+        },
+        case("unknown path", "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n".into(), 404),
+        case(
+            "unsupported method",
+            "PUT /v1/score HTTP/1.1\r\nContent-Length: 0\r\n\r\n".into(),
+            405,
+        ),
+    ]
+}
+
+/// Runs every [`front_end_cases`] case against the front end at `addr`.
+fn assert_front_end_contract(addr: SocketAddr) {
+    for case in front_end_cases() {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+        stream.write_all(&case.request).expect("write request");
+        if case.half_close {
+            stream.shutdown(Shutdown::Write).expect("half-close");
+        }
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap_or_else(|e| panic!("{}: read: {e}", case.name));
+        let status_line = format!("HTTP/1.1 {} ", case.status);
+        assert!(raw.starts_with(&status_line), "{}: want {}, got {raw}", case.name, case.status);
+        assert!(raw.contains("{\"error\":"), "{}: errors are JSON: {raw}", case.name);
+    }
+}
+
 #[test]
 fn malformed_and_unknown_requests_get_4xx() {
     let (server, _slot) = start(BatchConfig::default());
-    let addr = server.addr().to_string();
+    assert_front_end_contract(server.addr());
+    server.shutdown();
+}
 
-    // Hand-rolled bad request: invalid JSON body.
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-    let body = "{definitely not json";
+#[test]
+fn router_refuses_malformed_and_unknown_requests_like_the_server() {
+    let (shard, _slot) = start(BatchConfig::default());
+    let router = Router::start(vec![shard.addr().to_string()], RouterConfig::default())
+        .expect("start router");
+    assert_front_end_contract(router.addr());
+    router.shutdown();
+    shard.shutdown();
+}
+
+/// Sends one `POST /v1/ingest` and returns the status and body.
+fn post_ingest(addr: SocketAddr, body: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
     write!(
         stream,
-        "POST /v1/score HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        "POST /v1/ingest HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     )
     .expect("write");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read");
-    assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+    let status = raw.get(9..12).and_then(|s| s.parse().ok()).expect("status line");
+    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
+    (status, body)
+}
 
-    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-    write!(stream, "GET /nope HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").expect("write");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read");
-    assert!(raw.starts_with("HTTP/1.1 404"), "{raw}");
+#[test]
+fn served_ingest_matches_in_process_stream_replay() {
+    let platform = datasets::d1(0.0005, 83);
+    let trace = TemporalTrace::from_platform(
+        &platform,
+        &TraceConfig { seed: 83, duration_ms: 3 * 60 * 1000, ..TraceConfig::default() },
+    );
+    let events: Vec<IngestEvent> = trace
+        .events
+        .iter()
+        .map(|e| IngestEvent {
+            at_ms: e.at_ms,
+            item_id: e.item_id,
+            user_id: u64::from(e.user_id),
+            sales_volume: e.sales_volume,
+            text: e.content.clone(),
+        })
+        .collect();
+    let (server, _slot) = start(BatchConfig::default());
+    let pipeline = restore(&setup().snapshot);
+    let mut engine = StreamEngine::new(ServeConfig::default().stream);
+    let bits = |v: &StreamVerdict| {
+        let scores = [v.cats_score.to_bits(), v.velocity_risk.to_bits(), v.fused_score.to_bits()];
+        (v.item_id, v.at_ms, v.window_comments, v.is_fraud, scores)
+    };
+    let mut flushes = 0;
+    for (n, post) in events.chunks(64).enumerate() {
+        let body = serde_json::to_string(post).expect("events encode");
+        let (status, body) = post_ingest(server.addr(), &body);
+        assert_eq!(status, 200, "post {n}: {body}");
+        let served: IngestResponse = serde_json::from_str(&body).expect("ingest response parses");
+
+        let late_before = engine.late_dropped();
+        for e in post {
+            engine.ingest(&CommentEvent {
+                at_ms: e.at_ms,
+                item_id: e.item_id,
+                user_id: e.user_id,
+                sales_volume: e.sales_volume,
+                text: e.text.clone(),
+            });
+        }
+        let late = engine.late_dropped() - late_before;
+        let expected = if engine.flush_due() { engine.flush(&pipeline) } else { Vec::new() };
+        assert_eq!(served.accepted, post.len() as u64 - late, "post {n}: accepted");
+        assert_eq!(served.late_dropped, late, "post {n}: late_dropped");
+        assert_eq!(served.watermark_ms, engine.watermark_ms(), "post {n}: watermark_ms");
+        assert_eq!(served.verdicts.len(), expected.len(), "post {n}: verdict count");
+        for (got, want) in served.verdicts.iter().zip(&expected) {
+            assert_eq!(bits(got), bits(want), "post {n}: item {} verdict", want.item_id);
+        }
+        flushes += usize::from(!expected.is_empty());
+    }
+    assert!(flushes >= 5, "the trace must cross several flush boundaries, crossed {flushes}");
+
+    let (status, body) = post_ingest(server.addr(), "[{\"at_ms\": ");
+    assert_eq!(status, 400, "malformed ingest body: {body}");
     server.shutdown();
 }
