@@ -19,10 +19,7 @@
 //! Every invariant is asserted here; the numbers go to the stdout
 //! table. Routed throughput is measured by `perf/` (`score_routed`).
 
-use cats_bench::{render, setup, Args};
-use cats_core::{CatsPipeline, DetectorConfig};
-use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
-use cats_ml::{Classifier, Dataset};
+use cats_bench::{percentile, render, setup, Args};
 use cats_serve::{
     Router, RouterConfig, ScoreClient, ScoreItem, ShardOpts, ShardProcess, TrafficTrace,
 };
@@ -62,15 +59,6 @@ fn maybe_run_shard() {
     loop {
         std::thread::sleep(Duration::from_secs(3600));
     }
-}
-
-/// Exact percentile from a sorted sample (nearest-rank).
-fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted_ms.len() as f64).ceil() as usize).clamp(1, sorted_ms.len());
-    sorted_ms[rank - 1]
 }
 
 /// Spawns `n` shard child processes serving `model`, each on an
@@ -220,20 +208,7 @@ fn main() {
 
     println!("training pipeline...");
     let pipeline = setup::train_pipeline(&platform, args.seed);
-    // Build a shard-loadable snapshot (a GBT retrained
-    // deterministically on the same data, same recipe as exp_serve).
-    let snapshot = {
-        let items: Vec<_> = platform.items().iter().map(setup::item_comments).collect();
-        let labels: Vec<u8> = platform.items().iter().map(setup::item_label).collect();
-        let rows = cats_core::features::extract_batch(&items, pipeline.analyzer(), 0);
-        let mut data = Dataset::new(cats_core::N_FEATURES);
-        for (r, &l) in rows.iter().zip(&labels) {
-            data.push(r.as_slice(), l);
-        }
-        let mut gbt = GradientBoostedTrees::new(GbtConfig::default());
-        gbt.fit(&data);
-        CatsPipeline::snapshot(pipeline.analyzer().clone(), DetectorConfig::default(), gbt)
-    };
+    let snapshot = pipeline.to_snapshot();
     let dir = std::env::temp_dir().join(format!("cats_cluster_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create model dir");
     let model_v1 = dir.join("model_v1.cats");

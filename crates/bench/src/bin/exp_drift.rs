@@ -34,7 +34,7 @@ use cats_core::{
     PipelineSnapshot,
 };
 use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
-use cats_ml::{Classifier, Dataset};
+use cats_ml::Classifier;
 use cats_obs::{DriftConfig, DriftMonitor, DriftVerdict};
 use cats_platform::drift::PlatformDriftConfig;
 use cats_platform::{datasets, Platform};
@@ -90,10 +90,8 @@ fn refit_snapshot(
 ) -> PipelineSnapshot {
     let items: Vec<&ItemComments> = examples.iter().map(|e| &e.comments).collect();
     let rows = cats_core::features::extract_batch(&items, analyzer, 0);
-    let mut data = Dataset::new(cats_core::N_FEATURES);
-    for (r, e) in rows.iter().zip(examples) {
-        data.push(r.as_slice(), e.label);
-    }
+    let labels: Vec<u8> = examples.iter().map(|e| e.label).collect();
+    let data = cats_core::detector::training_dataset(&rows, &labels);
     let mut gbt = GradientBoostedTrees::new(GbtConfig::default());
     gbt.fit(&data);
     let reference = FeatureReferenceSet::from_rows(&rows);
@@ -128,20 +126,11 @@ fn main() {
     let reference = FeatureReferenceSet::from_rows(&train_rows);
     // One deterministic snapshot seeds BOTH lanes, so frozen vs adaptive
     // differ only in what the closed loop does afterwards.
-    let seed_snapshot = refit_snapshot(
-        &train_platform
-            .items()
-            .iter()
-            .map(|i| LaggedExample {
-                comments: setup::item_comments(i),
-                sales_volume: i.sales_volume,
-                label: setup::item_label(i),
-            })
-            .collect::<Vec<_>>(),
-        trained.analyzer(),
-        DetectorConfig::default(),
-    );
-    let seed_bytes = seed_snapshot.to_io2_bytes().expect("seed snapshot serializes");
+    let seed_bytes = trained
+        .to_snapshot()
+        .with_feature_reference(reference.clone())
+        .to_io2_bytes()
+        .expect("seed snapshot serializes");
     let restore = || {
         CatsPipeline::restore(PipelineSnapshot::from_bytes(&seed_bytes).expect("seed bytes parse"))
     };

@@ -18,7 +18,6 @@
 use cats_bench::{render, setup, Args};
 use cats_core::{Detector, DetectorConfig, ItemComments, SemanticAnalyzer};
 use cats_embedding::{expand_lexicon, ExpansionConfig, Word2VecConfig, Word2VecTrainer};
-use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
 use cats_par::Parallelism;
 use cats_sentiment::SentimentModel;
 use cats_text::{Corpus, Segmenter, WhitespaceSegmenter};
@@ -93,11 +92,10 @@ fn run_once(
     // Stage 3: detector fit (parallel extraction + parallel GBT).
     let t0 = Instant::now();
     let fit_span = cats_obs::span!("cats.bench.scaling.fit", { items.len() });
-    let gbt = GradientBoostedTrees::new(GbtConfig { parallelism: par, ..GbtConfig::default() });
-    let mut detector = Detector::new(
-        DetectorConfig { parallelism: par, ..DetectorConfig::default() },
-        Box::new(gbt),
-    );
+    let mut detector = Detector::with_default_classifier(DetectorConfig {
+        parallelism: par,
+        ..DetectorConfig::default()
+    });
     detector.fit(items, labels, &analyzer);
     drop(fit_span);
     let fit_s = t0.elapsed().as_secs_f64();

@@ -15,10 +15,8 @@
 //! Serving performance is measured by `perf/` (`score_trickle`,
 //! `score_bulk`).
 
-use cats_bench::{render, setup, Args};
-use cats_core::{CatsPipeline, DetectorConfig, PipelineSnapshot};
-use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
-use cats_ml::{Classifier, Dataset};
+use cats_bench::{percentile, render, setup, Args};
+use cats_core::{CatsPipeline, PipelineSnapshot};
 use cats_serve::{BatchConfig, ModelSlot, ScoreClient, ScoreItem, ServeConfig, Server};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,34 +30,6 @@ const ITEMS_PER_REQUEST: usize = 8;
 const LOAD_SECS: f64 = 2.0;
 /// Model swaps performed during the hot-swap phase.
 const SWAPS: usize = 5;
-
-/// Exact percentile from a sorted sample (nearest-rank).
-fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted_ms.len() as f64).ceil() as usize).clamp(1, sorted_ms.len());
-    sorted_ms[rank - 1]
-}
-
-/// Encodes a snapshot equivalent to `pipeline` (same analyzer, a GBT
-/// retrained deterministically on the same data) as `CATS-IO2` bytes, so
-/// the hot-swap phase can mint interchangeable models cheaply via
-/// [`PipelineSnapshot`].
-fn snapshot_bytes(pipeline: &CatsPipeline, platform: &cats_platform::Platform) -> Vec<u8> {
-    let items: Vec<_> = platform.items().iter().map(setup::item_comments).collect();
-    let labels: Vec<u8> = platform.items().iter().map(setup::item_label).collect();
-    let rows = cats_core::features::extract_batch(&items, pipeline.analyzer(), 0);
-    let mut data = Dataset::new(cats_core::N_FEATURES);
-    for (r, &l) in rows.iter().zip(&labels) {
-        data.push(r.as_slice(), l);
-    }
-    let mut gbt = GradientBoostedTrees::new(GbtConfig::default());
-    gbt.fit(&data);
-    CatsPipeline::snapshot(pipeline.analyzer().clone(), DetectorConfig::default(), gbt)
-        .to_io2_bytes()
-        .expect("snapshot encodes")
-}
 
 /// Outcome of one load phase.
 struct LoadStats {
@@ -156,7 +126,7 @@ fn main() {
 
     println!("training pipeline...");
     let pipeline = setup::train_pipeline(&platform, args.seed);
-    let swap_snapshot = snapshot_bytes(&pipeline, &platform);
+    let swap_snapshot = pipeline.to_snapshot().to_io2_bytes().expect("snapshot encodes");
     let pool: Vec<ScoreItem> = platform
         .items()
         .iter()

@@ -24,10 +24,8 @@
 
 use cats_bench::{render, setup, Args};
 use cats_core::pipeline::LabeledItem;
-use cats_core::{CatsPipeline, DetectorConfig, ItemComments, PipelineSnapshot};
+use cats_core::{CatsPipeline, ItemComments};
 use cats_io::CheckpointStore;
-use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
-use cats_ml::{Classifier, Dataset};
 use cats_serve::chaos;
 use cats_serve::{
     ChaosPlan, ChaosRng, Fault, ModelSlot, ModelWatcher, ScoreClient, ScoreItem, ServeConfig,
@@ -54,22 +52,6 @@ const TORN_WINDOW: Duration = Duration::from_millis(60);
 /// Labeled reviews per polarity for the resume phase (small: the phase
 /// trains twice and only determinism matters, not model quality).
 const RESUME_SENTIMENT_REVIEWS: usize = 400;
-
-/// A snapshot equivalent to `pipeline` (same analyzer, a GBT retrained
-/// deterministically on the same data) — saved as the file the watcher
-/// hot-swaps and the chaos plan tears.
-fn snapshot(pipeline: &CatsPipeline, platform: &cats_platform::Platform) -> PipelineSnapshot {
-    let items: Vec<_> = platform.items().iter().map(setup::item_comments).collect();
-    let labels: Vec<u8> = platform.items().iter().map(setup::item_label).collect();
-    let rows = cats_core::features::extract_batch(&items, pipeline.analyzer(), 0);
-    let mut data = Dataset::new(cats_core::N_FEATURES);
-    for (r, &l) in rows.iter().zip(&labels) {
-        data.push(r.as_slice(), l);
-    }
-    let mut gbt = GradientBoostedTrees::new(GbtConfig::default());
-    gbt.fit(&data);
-    CatsPipeline::snapshot(pipeline.analyzer().clone(), DetectorConfig::default(), gbt)
-}
 
 /// Kill/resume bit-identity: train once uninterrupted, once with a
 /// simulated `kill -9` after the second checkpoint save, resume, and
@@ -101,7 +83,6 @@ fn resume_phase(scale: f64, seed: u64, ckpt_root: &Path) -> bool {
             &sp,
             &sn,
             &labeled,
-            None,
             setup::pipeline_config(),
             store,
         )
@@ -278,7 +259,7 @@ fn main() {
 
     let primary = ckpt_root.join("model.snapshot");
     let mirror = ckpt_root.join("last_good.snapshot");
-    snapshot(&pipeline, &platform).save(&primary).expect("write primary snapshot");
+    pipeline.to_snapshot().save(&primary).expect("write primary snapshot");
     let valid_bytes = std::fs::read(&primary).expect("read primary snapshot bytes");
 
     let slot = Arc::new(ModelSlot::new(

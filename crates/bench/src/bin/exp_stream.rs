@@ -22,7 +22,7 @@
 //! asserted here. The wall-clock ingest rate goes to the stdout table
 //! only; `perf/` (`ingest_stream`) measures it.
 
-use cats_bench::{render, setup, Args};
+use cats_bench::{percentile, render, setup, Args};
 use cats_core::{CatsPipeline, ItemComments, StreamVerdict};
 use cats_platform::{TemporalTrace, TraceConfig};
 use cats_stream::{CommentEvent, StreamConfig, StreamEngine};
@@ -34,15 +34,6 @@ const DETERMINISM_THREADS: [usize; 3] = [1, 2, 8];
 /// Ceiling on the wave-start → first-verdict p95, in virtual ms (fixed
 /// by the trace seed, not the machine).
 const LATENCY_P95_CEILING_MS: f64 = 60_000.0;
-
-/// Exact percentile from a sorted sample (nearest-rank).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
 
 /// Stream config for the replay: default windows, explicit threads.
 fn stream_config(threads: usize) -> StreamConfig {

@@ -21,7 +21,7 @@ fn main() {
     println!(
         "trained on D0: {} items, detector = {}",
         d0.items().len(),
-        pipeline.detector().classifier_name()
+        cats_ml::Classifier::name(pipeline.detector().gbt())
     );
 
     // Calibrate the operating point on a held-out *production-shaped*

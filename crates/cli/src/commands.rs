@@ -18,14 +18,12 @@
 
 use crate::io::{read_items, write_items, write_reports, ItemLine, ReportLine};
 use cats_collector::{Collector, CollectorConfig, CrawlStats, FaultPlan, PublicSite, SiteConfig};
-use cats_core::pipeline::PipelineSnapshot;
+use cats_core::pipeline::{LabeledItem, PipelineSnapshot};
 use cats_core::{
-    CatsPipeline, DetectionSummary, DetectorConfig, ItemComments, SemanticAnalyzer, N_FEATURES,
+    CatsPipeline, DetectionSummary, DetectorConfig, ItemComments, PipelineConfig, SemanticConfig,
 };
-use cats_embedding::{ExpansionConfig, Word2VecConfig};
-use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
+use cats_embedding::Word2VecConfig;
 use cats_ml::metrics::BinaryMetrics;
-use cats_ml::{Classifier, Dataset};
 use cats_platform::comment_model::{generate_comment, CommentStyle};
 use cats_platform::datasets;
 use rand::{rngs::StdRng, SeedableRng};
@@ -60,41 +58,39 @@ pub fn generate(scale: f64, seed: u64, out: &mut dyn std::io::Write) -> Result<u
 }
 
 /// Trains the pipeline from labeled JSONL and returns its snapshot and
-/// the number of training items. `threshold` sets the detector's
-/// operating point.
+/// the number of training items. `threshold`, in `[0, 1]`, sets the
+/// detector's operating point.
+///
+/// With a `store`, training goes through
+/// [`CatsPipeline::train_resumable`]: word2vec epochs, the finished
+/// analyzer and GBT boosting rounds checkpoint into it, so a rerun after
+/// a kill resumes mid-stage instead of starting over, and the resumed
+/// model is bit-identical to an uninterrupted checkpointed run. All
+/// slots are cleared on success. Without one, it goes through
+/// [`CatsPipeline::train`]. Checkpointed word2vec always runs the
+/// sharded schedule, so the two paths write different (each
+/// deterministic) models.
 pub fn train(
-    input: &mut dyn BufRead,
-    threshold: f64,
-    seed: u64,
-) -> Result<(PipelineSnapshot, usize), String> {
-    train_checkpointed(input, threshold, seed, None)
-}
-
-/// [`train`] with crash recovery: the two expensive stages — word2vec
-/// epochs and GBT boosting rounds — checkpoint into `store` (slots
-/// `"w2v"` and `"gbt"`), so a rerun after a kill resumes mid-stage
-/// instead of starting over; stage fingerprints reject checkpoints from
-/// different inputs or hyperparameters. Checkpointed word2vec always
-/// uses the deterministic sharded schedule, so an interrupted-and-
-/// resumed run is bit-identical to an uninterrupted checkpointed one.
-/// All slots are cleared on success.
-pub fn train_checkpointed(
     input: &mut dyn BufRead,
     threshold: f64,
     seed: u64,
     store: Option<&cats_io::CheckpointStore>,
 ) -> Result<(PipelineSnapshot, usize), String> {
+    DetectorConfig::check_threshold(threshold).map_err(|e| format!("--{e}"))?;
     let read_span = cats_obs::span!("cats.cli.train.read_input");
     let items = read_items(input)?;
     drop(read_span);
     if items.is_empty() {
         return Err("no items in training input".into());
     }
-    let labels: Vec<u8> = items
+    let training: Vec<LabeledItem> = items
         .iter()
-        .map(|i| i.label.ok_or_else(|| format!("item {} has no label", i.item_id)))
+        .map(|i| {
+            let label = i.label.ok_or_else(|| format!("item {} has no label", i.item_id))?;
+            Ok(LabeledItem { comments: i.to_item_comments(), label })
+        })
         .collect::<Result<_, String>>()?;
-    if !labels.contains(&1) || !labels.contains(&0) {
+    if !training.iter().any(|l| l.label == 1) || !training.iter().any(|l| l.label == 0) {
         return Err("training data must contain both classes".into());
     }
 
@@ -111,55 +107,28 @@ pub fn train_checkpointed(
     let neg: Vec<String> = (0..2_000)
         .map(|_| generate_comment(&lang, CommentStyle::OrganicNegative, &mut rng))
         .collect();
-    let semantic_cfg = cats_core::SemanticConfig {
-        word2vec: Word2VecConfig { dim: 48, epochs: 3, ..Word2VecConfig::default() },
-        expansion: ExpansionConfig::default(),
-        ..cats_core::SemanticConfig::default()
-    };
     let pos_refs: Vec<&str> = pos.iter().map(String::as_str).collect();
     let neg_refs: Vec<&str> = neg.iter().map(String::as_str).collect();
-    let analyzer = match store {
-        Some(store) => SemanticAnalyzer::train_checkpointed(
-            &corpus,
-            &lang.positive_seeds(),
-            &lang.negative_seeds(),
-            &pos_refs,
-            &neg_refs,
-            semantic_cfg,
-            store,
+    let (pos_seeds, neg_seeds) = (lang.positive_seeds(), lang.negative_seeds());
+    let config = PipelineConfig {
+        semantic: SemanticConfig {
+            word2vec: Word2VecConfig { dim: 48, epochs: 3, ..Word2VecConfig::default() },
+            ..SemanticConfig::default()
+        },
+        detector: DetectorConfig { threshold, ..DetectorConfig::default() },
+        ..PipelineConfig::default()
+    };
+    let pipeline = match store {
+        Some(store) => CatsPipeline::train_resumable(
+            &corpus, &pos_seeds, &neg_seeds, &pos_refs, &neg_refs, &training, config, store,
         ),
-        None => SemanticAnalyzer::train(
-            &corpus,
-            &lang.positive_seeds(),
-            &lang.negative_seeds(),
-            &pos_refs,
-            &neg_refs,
-            semantic_cfg,
+        None => CatsPipeline::train(
+            &corpus, &pos_seeds, &neg_seeds, &pos_refs, &neg_refs, &training, None, config,
         ),
     };
 
-    let ics: Vec<ItemComments> = items.iter().map(ItemLine::to_item_comments).collect();
-    let rows = cats_core::features::extract_batch(&ics, &analyzer, 0);
-    let mut data = Dataset::new(N_FEATURES);
-    for (r, &l) in rows.iter().zip(&labels) {
-        data.push(r.as_slice(), l);
-    }
-    let mut gbt = GradientBoostedTrees::new(GbtConfig::default());
-    match store {
-        Some(store) => gbt.fit_checkpointed(&data, store, "gbt", 10),
-        None => gbt.fit(&data),
-    }
-
     let _snap_span = cats_obs::span!("cats.cli.train.snapshot");
-    let snapshot = CatsPipeline::snapshot(
-        analyzer,
-        DetectorConfig { threshold, ..DetectorConfig::default() },
-        gbt,
-    );
-    if let Some(store) = store {
-        store.clear_all();
-    }
-    Ok((snapshot, items.len()))
+    Ok((pipeline.to_snapshot(), items.len()))
 }
 
 /// Loads the snapshot at `model` and scores unlabeled JSONL items;
@@ -624,7 +593,7 @@ mod tests {
     /// Trains on `data` and saves the snapshot to a per-test file, as
     /// `cats-cli train` does.
     fn trained_model(data: &[u8], name: &str) -> PathBuf {
-        let (snapshot, _) = train(&mut BufReader::new(data), 0.5, 9).unwrap();
+        let (snapshot, _) = train(&mut BufReader::new(data), 0.5, 9, None).unwrap();
         let path = tmp(name);
         snapshot.save(&path).unwrap();
         path
@@ -648,7 +617,7 @@ mod tests {
         generate(0.004, 9, &mut data).unwrap();
 
         // train
-        let (snapshot, n) = train(&mut BufReader::new(data.as_slice()), 0.5, 9).unwrap();
+        let (snapshot, n) = train(&mut BufReader::new(data.as_slice()), 0.5, 9, None).unwrap();
         assert!(n > 0);
         let model = tmp("closed_loop.cats");
         snapshot.save(&model).unwrap();
@@ -718,15 +687,29 @@ mod tests {
     #[test]
     fn train_rejects_unlabeled_and_single_class() {
         let unlabeled = "{\"item_id\":1,\"sales_volume\":2,\"comments\":[\"hao\"]}\n";
-        let err = train(&mut BufReader::new(unlabeled.as_bytes()), 0.5, 1).map(|_| ()).unwrap_err();
+        let err =
+            train(&mut BufReader::new(unlabeled.as_bytes()), 0.5, 1, None).map(|_| ()).unwrap_err();
         assert!(err.contains("no label"), "{err}");
 
         let one_class = "{\"item_id\":1,\"sales_volume\":2,\"label\":1,\"comments\":[\"hao\"]}\n";
-        let err = train(&mut BufReader::new(one_class.as_bytes()), 0.5, 1).map(|_| ()).unwrap_err();
+        let err =
+            train(&mut BufReader::new(one_class.as_bytes()), 0.5, 1, None).map(|_| ()).unwrap_err();
         assert!(err.contains("both classes"), "{err}");
 
-        let err = train(&mut BufReader::new("".as_bytes()), 0.5, 1).map(|_| ()).unwrap_err();
+        let err = train(&mut BufReader::new("".as_bytes()), 0.5, 1, None).map(|_| ()).unwrap_err();
         assert!(err.contains("no items"), "{err}");
+    }
+
+    #[test]
+    fn train_rejects_a_threshold_outside_the_unit_interval() {
+        let mut data = Vec::new();
+        generate(0.002, 7, &mut data).unwrap();
+        for threshold in [1.5, -0.1, f64::NAN, f64::INFINITY] {
+            let err = train(&mut BufReader::new(data.as_slice()), threshold, 1, None)
+                .map(|_| ())
+                .unwrap_err();
+            assert!(err.starts_with("--threshold ") && err.contains("outside [0, 1]"), "{err}");
+        }
     }
 
     #[test]
@@ -767,12 +750,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cats_cli_ckpt_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = cats_io::CheckpointStore::open(&dir).unwrap();
-        let (a, _) =
-            train_checkpointed(&mut BufReader::new(data.as_slice()), 0.5, 9, Some(&store)).unwrap();
-        assert!(store.load("w2v").is_none(), "w2v slot cleared on success");
-        assert!(store.load("gbt").is_none(), "gbt slot cleared on success");
-        let (b, _) =
-            train_checkpointed(&mut BufReader::new(data.as_slice()), 0.5, 9, Some(&store)).unwrap();
+        let (a, _) = train(&mut BufReader::new(data.as_slice()), 0.5, 9, Some(&store)).unwrap();
+        for slot in ["w2v", "analyzer", "gbt"] {
+            assert!(store.load(slot).is_none(), "{slot} slot cleared on success");
+        }
+        let (b, _) = train(&mut BufReader::new(data.as_slice()), 0.5, 9, Some(&store)).unwrap();
         assert_eq!(
             a.to_io2_bytes().unwrap(),
             b.to_io2_bytes().unwrap(),
@@ -809,7 +791,7 @@ mod tests {
     fn serve_falls_back_to_last_good_when_primary_is_corrupt() {
         let mut data = Vec::new();
         generate(0.004, 9, &mut data).unwrap();
-        let (snapshot, _) = train(&mut BufReader::new(data.as_slice()), 0.5, 9).unwrap();
+        let (snapshot, _) = train(&mut BufReader::new(data.as_slice()), 0.5, 9, None).unwrap();
         let model = snapshot.to_io2_bytes().unwrap();
         let dir = std::env::temp_dir().join(format!("cats_cli_lg_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -103,7 +103,7 @@ fn run() -> Result<(), String> {
                 store.clear_all();
             }
             let (result, profile) = cats_cli::commands::profiled("cats-cli train", || {
-                cats_cli::commands::train_checkpointed(&mut input, threshold, seed, store.as_ref())
+                cats_cli::commands::train(&mut input, threshold, seed, store.as_ref())
             });
             let (snapshot, n) = result?;
             let model = std::path::Path::new(&model_path);

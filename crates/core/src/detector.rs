@@ -6,9 +6,12 @@
 //! contain no positive n-grams or words." Filtered items are never
 //! classified (they are reported as normal).
 //!
-//! **Stage 2 — binary classifier.** A pluggable
-//! [`cats_ml::Classifier`] over the 11-feature rows; the default is the
-//! gradient-boosted-tree model that won Table III.
+//! **Stage 2 — binary classifier.** The gradient-boosted-tree model that
+//! won Table III, over the 11-feature rows. The detector owns the
+//! concrete [`GradientBoostedTrees`], so a trained detector is also a
+//! serializable one (see `CatsPipeline::to_snapshot`); the other Table
+//! III models are compared on feature datasets by
+//! [`cats_ml::model_selection`], not plugged in here.
 
 use crate::features::{
     extract_batch, extract_view, map_items, DetectItem, FeatureVector, ItemComments, ItemView,
@@ -30,8 +33,8 @@ pub struct DetectorConfig {
     pub require_positive_evidence: bool,
     /// Classification threshold on the fraud score.
     pub threshold: f64,
-    /// Parallelism for feature extraction during fit/detect (a runtime
-    /// knob, not part of the serialized model).
+    /// Parallelism for feature extraction during fit/detect and for GBT
+    /// fitting (a runtime knob, not part of the serialized model).
     #[serde(skip)]
     pub parallelism: Parallelism,
 }
@@ -43,6 +46,19 @@ impl Default for DetectorConfig {
             require_positive_evidence: true,
             threshold: 0.5,
             parallelism: Parallelism::default(),
+        }
+    }
+}
+
+impl DetectorConfig {
+    /// Checks a decision threshold against its range `[0, 1]`: outside
+    /// it (or NaN) the detector would report every classified item as
+    /// fraud or none.
+    pub fn check_threshold(threshold: f64) -> Result<(), String> {
+        if (0.0..=1.0).contains(&threshold) {
+            Ok(())
+        } else {
+            Err(format!("threshold {threshold} is outside [0, 1]"))
         }
     }
 }
@@ -81,8 +97,7 @@ pub struct DetectionReport {
 /// finite feature rows of `rows`, with non-finite rows (degraded input
 /// that slipped past upstream cleaning) dropped. This is exactly the
 /// cleaning [`Detector::fit_features`] applies — exposed so callers that
-/// fit a concrete classifier out-of-band (the resumable training path)
-/// see the same data the detector would.
+/// fit a GBT outside a detector see the same data the detector would.
 pub fn training_dataset(rows: &[FeatureVector], labels: &[u8]) -> Dataset {
     assert_eq!(rows.len(), labels.len(), "rows/labels mismatch");
     let mut data = Dataset::new(N_FEATURES);
@@ -102,22 +117,23 @@ fn has_positive_evidence<V: ItemView>(item: &V, analyzer: &SemanticAnalyzer) -> 
     (0..item.comment_count()).any(|i| item.comment(i).1.iter().any(|t| lex.is_positive(t.as_ref())))
 }
 
-/// The CATS detector: rule filter + trained classifier.
+/// The CATS detector: rule filter + trained GBT.
 pub struct Detector {
     config: DetectorConfig,
-    classifier: Box<dyn Classifier>,
-    fitted: bool,
+    gbt: GradientBoostedTrees,
 }
 
 impl Detector {
-    /// A detector with the paper's default GBT classifier.
+    /// A detector with an unfit GBT of the Table III hyperparameters.
     pub fn with_default_classifier(config: DetectorConfig) -> Self {
-        Self::new(config, Box::new(GradientBoostedTrees::new(GbtConfig::default())))
+        Self::new(config, GradientBoostedTrees::new(GbtConfig::default()))
     }
 
-    /// A detector with a custom stage-2 classifier.
-    pub fn new(config: DetectorConfig, classifier: Box<dyn Classifier>) -> Self {
-        Self { config, classifier, fitted: false }
+    /// A detector over `gbt`, fit or not — e.g. a model restored from a
+    /// snapshot. The GBT fits with the configuration's `parallelism`.
+    pub fn new(config: DetectorConfig, mut gbt: GradientBoostedTrees) -> Self {
+        gbt.set_parallelism(config.parallelism);
+        Self { config, gbt }
     }
 
     /// The active configuration.
@@ -125,35 +141,37 @@ impl Detector {
         self.config
     }
 
-    /// Whether [`Detector::fit`] has run.
+    /// Whether the stage-2 GBT has been fit.
     pub fn is_fit(&self) -> bool {
-        self.fitted
+        self.gbt.is_fit()
     }
 
-    /// Stage-2 classifier name.
-    pub fn classifier_name(&self) -> &'static str {
-        self.classifier.name()
+    /// The stage-2 GBT.
+    pub fn gbt(&self) -> &GradientBoostedTrees {
+        &self.gbt
     }
 
-    /// Marks the detector as fitted — for wiring in a classifier that was
-    /// trained elsewhere (e.g. restored from a serialized snapshot).
-    pub fn mark_fitted(&mut self) {
-        self.fitted = true;
+    /// The stage-2 GBT, for the resumable training path, which fits it
+    /// with round checkpoints.
+    pub(crate) fn gbt_mut(&mut self) -> &mut GradientBoostedTrees {
+        &mut self.gbt
     }
 
     /// Adjusts the decision threshold — used to move the trained detector
     /// to a different operating point (e.g. one calibrated on a holdout,
     /// or the high-precision deployment point) without refitting.
     pub fn set_threshold(&mut self, threshold: f64) {
-        assert!((0.0..=1.0).contains(&threshold), "threshold in [0,1]");
+        DetectorConfig::check_threshold(threshold).unwrap_or_else(|e| panic!("{e}"));
         self.config.threshold = threshold;
     }
 
-    /// Pins the feature-extraction thread count — used by sharded
-    /// serving, where each shard process owns a slice of the machine and
-    /// must not oversubscribe it with the auto-resolved pool width.
+    /// Pins the thread count of feature extraction and GBT fitting —
+    /// used by sharded serving, where each shard process owns a slice of
+    /// the machine and must not oversubscribe it with the auto-resolved
+    /// pool width.
     pub fn set_parallelism(&mut self, parallelism: Parallelism) {
         self.config.parallelism = parallelism;
+        self.gbt.set_parallelism(parallelism);
     }
 
     /// Applies the stage-1 rules to one item.
@@ -196,8 +214,7 @@ impl Detector {
     pub fn fit_features(&mut self, rows: &[FeatureVector], labels: &[u8]) {
         let data = training_dataset(rows, labels);
         assert!(!data.is_empty(), "no finite training rows");
-        self.classifier.fit(&data);
-        self.fitted = true;
+        self.gbt.fit(&data);
     }
 
     /// Trains from labeled items: extracts features (in parallel) then
@@ -240,7 +257,7 @@ impl Detector {
         sales_volumes: &[u64],
         analyzer: &SemanticAnalyzer,
     ) -> Vec<DetectionReport> {
-        assert!(self.fitted, "detect before fit");
+        assert!(self.is_fit(), "detect before fit");
         assert_eq!(items.len(), sales_volumes.len(), "items/sales mismatch");
         let _span = cats_obs::span!("cats.core.detect", { items.len() });
 
@@ -298,7 +315,7 @@ impl Detector {
                 reports[i].filter = FilterDecision::Quarantined;
                 continue;
             }
-            let score = self.classifier.predict_proba(row.as_slice());
+            let score = self.gbt.predict_proba(row.as_slice());
             reports[i].score = score;
             reports[i].is_fraud = score >= self.config.threshold;
             reports[i].features = Some(row);
@@ -316,17 +333,9 @@ impl Detector {
     /// # Panics
     /// Panics if the detector has not been fit.
     pub fn score_rows(&self, rows: &[FeatureVector]) -> Vec<f64> {
-        assert!(self.fitted, "score before fit");
+        assert!(self.is_fit(), "score before fit");
         rows.iter()
-            .map(
-                |row| {
-                    if row.is_finite() {
-                        self.classifier.predict_proba(row.as_slice())
-                    } else {
-                        0.0
-                    }
-                },
-            )
+            .map(|row| if row.is_finite() { self.gbt.predict_proba(row.as_slice()) } else { 0.0 })
             .collect()
     }
 
@@ -635,9 +644,18 @@ mod tests {
     }
 
     #[test]
-    fn custom_classifier_is_used() {
-        use cats_ml::naive_bayes::GaussianNaiveBayes;
-        let det = Detector::new(DetectorConfig::default(), Box::new(GaussianNaiveBayes::new()));
-        assert_eq!(det.classifier_name(), "Naive Bayes");
+    fn the_gbt_fits_with_the_configured_parallelism() {
+        // GbtConfig's parallelism is readable only through its Debug form.
+        let fits_with = |det: &Detector, par: Parallelism| {
+            format!("{:?}", det.gbt()).contains(&format!("parallelism: {par:?}"))
+        };
+        for par in [Parallelism::serial(), Parallelism::with_threads(3), Parallelism::default()] {
+            let cfg = DetectorConfig { parallelism: par, ..DetectorConfig::default() };
+            let mut det = Detector::with_default_classifier(cfg);
+            assert!(fits_with(&det, par), "{par:?}");
+            assert!(!det.is_fit());
+            det.set_parallelism(Parallelism::with_threads(5));
+            assert!(fits_with(&det, Parallelism::with_threads(5)), "{par:?} then 5");
+        }
     }
 }

@@ -16,11 +16,10 @@
 //!   parallel batch path ("implemented in a parallelized style for fast
 //!   processing").
 //! * [`detector`] — the two-stage detector: rule filter (sales volume and
-//!   positive-evidence gates) followed by a pluggable binary classifier
-//!   (GBT by default, per Table III).
+//!   positive-evidence gates) followed by the GBT that won Table III.
 //! * [`pipeline`] — end-to-end orchestration: train on a labeled corpus,
 //!   detect over item streams, evaluate against ground truth (Table VI),
-//!   and serialize/deserialize trained detectors.
+//!   and snapshot/restore trained pipelines.
 
 pub mod detector;
 pub mod features;

@@ -11,7 +11,6 @@ use crate::detector::{DetectionReport, Detector, DetectorConfig};
 use crate::features::{DetectItem, ItemComments};
 use crate::semantic::{SemanticAnalyzer, SemanticConfig};
 use cats_ml::metrics::BinaryMetrics;
-use cats_ml::Classifier;
 use cats_par::Parallelism;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -24,8 +23,9 @@ pub struct PipelineConfig {
     /// Detector configuration.
     pub detector: DetectorConfig,
     /// Top-level parallelism knob. [`CatsPipeline::train`] copies it into
-    /// the semantic and detector configurations, so setting it here is
-    /// enough to parallelize the whole pipeline.
+    /// the semantic and detector configurations, and the detector passes
+    /// it on to its GBT, so setting it here is enough to parallelize the
+    /// whole pipeline.
     pub parallelism: Parallelism,
 }
 
@@ -49,7 +49,10 @@ impl CatsPipeline {
     ///
     /// * the semantic analyzer from `corpus_texts` (word2vec + expansion)
     ///   and the labeled sentiment review corpora;
-    /// * the detector's classifier from `training_items`.
+    /// * the detector's GBT from `training_items`.
+    ///
+    /// `_no_classifier` can hold no value, so it is always `None`: stage 2
+    /// is always the GBT. The slot only keeps existing callers compiling.
     #[allow(clippy::too_many_arguments)]
     pub fn train(
         corpus_texts: &[&str],
@@ -58,7 +61,7 @@ impl CatsPipeline {
         sentiment_positive: &[&str],
         sentiment_negative: &[&str],
         training_items: &[LabeledItem],
-        classifier: Option<Box<dyn Classifier>>,
+        _no_classifier: Option<std::convert::Infallible>,
         config: PipelineConfig,
     ) -> Self {
         let _span = cats_obs::span!("cats.core.pipeline.train", { training_items.len() });
@@ -73,10 +76,7 @@ impl CatsPipeline {
             sentiment_negative,
             semantic,
         );
-        let mut detector = match classifier {
-            Some(c) => Detector::new(detector_cfg, c),
-            None => Detector::with_default_classifier(detector_cfg),
-        };
+        let mut detector = Detector::with_default_classifier(detector_cfg);
         let items: Vec<&ItemComments> = training_items.iter().map(|l| &l.comments).collect();
         let labels: Vec<u8> = training_items.iter().map(|l| l.label).collect();
         detector.fit(&items, &labels, &analyzer);
@@ -92,10 +92,6 @@ impl CatsPipeline {
     /// bit-identical to one trained without interruption. Checkpoints
     /// from different inputs or configs are detected by fingerprint and
     /// ignored; all slots are cleared once training completes.
-    ///
-    /// A custom `classifier` trains without round-level checkpoints (the
-    /// `Classifier` trait has no checkpoint hook); the analyzer stages
-    /// still resume.
     #[allow(clippy::too_many_arguments)]
     pub fn train_resumable(
         corpus_texts: &[&str],
@@ -104,7 +100,6 @@ impl CatsPipeline {
         sentiment_positive: &[&str],
         sentiment_negative: &[&str],
         training_items: &[LabeledItem],
-        classifier: Option<Box<dyn Classifier>>,
         config: PipelineConfig,
         store: &cats_io::CheckpointStore,
     ) -> Self {
@@ -160,31 +155,15 @@ impl CatsPipeline {
 
         let items: Vec<&ItemComments> = training_items.iter().map(|l| &l.comments).collect();
         let labels: Vec<u8> = training_items.iter().map(|l| l.label).collect();
-        let detector = match classifier {
-            Some(c) => {
-                let mut d = Detector::new(detector_cfg, c);
-                d.fit(&items, &labels, &analyzer);
-                d
-            }
-            None => {
-                // The default-GBT path fits the concrete model directly so
-                // boosting rounds can checkpoint; the dataset cleaning is
-                // shared with Detector::fit_features via training_dataset.
-                let rows = crate::features::extract_batch(
-                    &items,
-                    &analyzer,
-                    detector_cfg.parallelism.threads,
-                );
-                let data = crate::detector::training_dataset(&rows, &labels);
-                assert!(!data.is_empty(), "no finite training rows");
-                let mut gbt =
-                    cats_ml::gbt::GradientBoostedTrees::new(cats_ml::gbt::GbtConfig::default());
-                gbt.fit_checkpointed(&data, store, "gbt", GBT_CKPT_EVERY);
-                let mut d = Detector::new(detector_cfg, Box::new(gbt));
-                d.mark_fitted();
-                d
-            }
-        };
+        // The GBT is fit directly so boosting rounds can checkpoint; the
+        // dataset cleaning is Detector::fit_features's, via
+        // training_dataset.
+        let rows =
+            crate::features::extract_batch(&items, &analyzer, detector_cfg.parallelism.threads);
+        let data = crate::detector::training_dataset(&rows, &labels);
+        assert!(!data.is_empty(), "no finite training rows");
+        let mut detector = Detector::with_default_classifier(detector_cfg);
+        detector.gbt_mut().fit_checkpointed(&data, store, "gbt", GBT_CKPT_EVERY);
         store.clear_all();
         Self { analyzer, detector }
     }
@@ -452,9 +431,8 @@ impl From<cats_io::IoError> for PersistError {
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 /// Snapshot of a trained pipeline, persisted as a `CATS-IO2` container.
-///
-/// The detector's classifier is stored as the default GBT model; custom
-/// classifiers need their own persistence.
+/// [`CatsPipeline::to_snapshot`] takes one; [`CatsPipeline::restore`]
+/// turns one back into a pipeline.
 pub struct PipelineSnapshot {
     /// Snapshot format version (see [`SNAPSHOT_FORMAT_VERSION`]).
     pub format_version: u32,
@@ -462,7 +440,7 @@ pub struct PipelineSnapshot {
     pub analyzer: SemanticAnalyzer,
     /// Detector configuration.
     pub detector_config: DetectorConfig,
-    /// The trained GBT classifier.
+    /// The detector's trained GBT.
     pub gbt: cats_ml::gbt::GradientBoostedTrees,
     /// Training-time feature distributions (drift-monitor anchor), in
     /// the optional `featref` section.
@@ -561,6 +539,8 @@ impl PipelineSnapshot {
         let detector_config: DetectorConfig =
             serde_json::from_slice(file.require("detector", "snapshot")?)
                 .map_err(|e| PersistError::Format(format!("model: detector config: {e}")))?;
+        DetectorConfig::check_threshold(detector_config.threshold)
+            .map_err(|e| PersistError::Format(format!("model: detector {e}")))?;
 
         let mut lex = Dec::new(file.require("lexicon", "snapshot")?);
         let read_words = |d: &mut Dec<'_>| -> Result<Vec<String>, String> {
@@ -589,6 +569,11 @@ impl PipelineSnapshot {
         let gbt =
             cats_ml::gbt::GradientBoostedTrees::from_io2_bytes(file.require("gbt", "snapshot")?)
                 .map_err(fmt)?;
+        // A restored detector scores with this GBT; an empty forest would
+        // make every detect call panic instead of failing the load.
+        if !gbt.is_fit() {
+            return Err(PersistError::Format("model: gbt has no trees".into()));
+        }
         // The detector scores N_FEATURES-wide rows; a model trained on
         // wider rows could index past them.
         let n_features = gbt.feature_importance().len();
@@ -659,9 +644,8 @@ fn trailing(d: &cats_io::io2::Dec<'_>, section: &str) -> Result<(), PersistError
 }
 
 impl CatsPipeline {
-    /// Snapshots a pipeline whose classifier is the provided trained GBT.
-    /// (The `Classifier` trait is object-safe and therefore not
-    /// serializable as a trait object; callers keep the concrete model.)
+    /// A snapshot of parts trained outside a pipeline: an analyzer, a
+    /// detector configuration and a GBT.
     pub fn snapshot(
         analyzer: SemanticAnalyzer,
         detector_config: DetectorConfig,
@@ -676,12 +660,18 @@ impl CatsPipeline {
         }
     }
 
+    /// This pipeline's own analyzer, detector configuration and GBT as a
+    /// snapshot: the inverse of [`CatsPipeline::restore`].
+    pub fn to_snapshot(&self) -> PipelineSnapshot {
+        Self::snapshot(self.analyzer.clone(), self.detector.config(), self.detector.gbt().clone())
+    }
+
     /// Restores a pipeline from a snapshot.
     pub fn restore(snapshot: PipelineSnapshot) -> Self {
-        let mut detector = Detector::new(snapshot.detector_config, Box::new(snapshot.gbt));
-        // The stored model is already trained; mark the detector usable.
-        detector.mark_fitted();
-        Self { analyzer: snapshot.analyzer, detector }
+        Self {
+            analyzer: snapshot.analyzer,
+            detector: Detector::new(snapshot.detector_config, snapshot.gbt),
+        }
     }
 }
 
@@ -760,46 +750,79 @@ mod tests {
         assert_eq!(slices.sufficient_evidence.confusion.total(), 3);
     }
 
+    /// The 60 items `trained()` fits on, with their labels.
+    fn training_rows() -> (Vec<ItemComments>, Vec<u8>) {
+        (0..30).flat_map(|i| [(fraud_item(i), 1), (normal_item(i), 0)]).unzip()
+    }
+
     #[test]
     fn snapshot_restore_roundtrip() {
+        let p = trained();
+        let bytes = p.to_snapshot().to_io2_bytes().unwrap();
+        let p2 = CatsPipeline::restore(PipelineSnapshot::from_bytes(&bytes).unwrap());
+
+        let test_items: Vec<ItemComments> =
+            (0..20).map(|i| if i % 2 == 0 { fraud_item(88 + i) } else { normal_item(i) }).collect();
+        let sales = vec![50u64; test_items.len()];
+        let want = p.detect(&test_items, &sales);
+        let got = p2.detect(&test_items, &sales);
+        assert_eq!(got.len(), want.len());
+        for (x, y) in got.iter().zip(&want) {
+            assert_eq!(x.score.to_bits(), y.score.to_bits(), "item {}", x.index);
+            assert_eq!((x.filter, x.is_fraud), (y.filter, y.is_fraud), "item {}", x.index);
+        }
+        assert!(got[0].is_fraud);
+        assert!(!got[1].is_fraud);
+    }
+
+    #[test]
+    fn to_snapshot_matches_a_gbt_fit_outside_the_pipeline() {
         use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
         use cats_ml::Classifier as _;
         let p = trained();
-        // Re-train a concrete GBT on the same features to snapshot it.
-        let mut items = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..30 {
-            items.push(fraud_item(i));
-            labels.push(1u8);
-            items.push(normal_item(i));
-            labels.push(0u8);
-        }
+        let (items, labels) = training_rows();
         let rows = crate::features::extract_batch(&items, p.analyzer(), 0);
-        let mut data = cats_ml::Dataset::new(crate::features::N_FEATURES);
-        for (r, &l) in rows.iter().zip(&labels) {
-            data.push(r.as_slice(), l);
-        }
         let mut gbt = GradientBoostedTrees::new(GbtConfig::default());
-        gbt.fit(&data);
+        gbt.fit(&crate::detector::training_dataset(&rows, &labels));
+        let outside = CatsPipeline::snapshot(p.analyzer().clone(), DetectorConfig::default(), gbt);
+        assert_eq!(p.to_snapshot().to_io2_bytes().unwrap(), outside.to_io2_bytes().unwrap());
+    }
 
-        let snap = CatsPipeline::snapshot(p.analyzer().clone(), DetectorConfig::default(), gbt);
-        let bytes = snap.to_io2_bytes().unwrap();
-        let p2 = CatsPipeline::restore(PipelineSnapshot::from_bytes(&bytes).unwrap());
+    #[test]
+    fn snapshot_rejects_a_threshold_outside_the_unit_interval() {
+        let mut snap = trained().to_snapshot();
+        for (threshold, ok) in [(0.0, true), (1.0, true), (-0.25, false), (1.5, false)] {
+            snap.detector_config.threshold = threshold;
+            let got = PipelineSnapshot::from_bytes(&snap.to_io2_bytes().unwrap());
+            match got {
+                Ok(back) => {
+                    assert!(ok, "threshold {threshold} decoded");
+                    assert_eq!(back.detector_config.threshold, threshold);
+                }
+                Err(PersistError::Format(msg)) => {
+                    assert!(!ok, "threshold {threshold}: {msg}");
+                    assert!(msg.contains("outside [0, 1]"), "{msg}");
+                }
+                Err(e) => panic!("threshold {threshold}: not a format error: {e}"),
+            }
+        }
+    }
 
-        let test_items = vec![fraud_item(88), normal_item(88)];
-        let reports = p2.detect(&test_items, &[50, 50]);
-        assert!(reports[0].is_fraud);
-        assert!(!reports[1].is_fraud);
+    #[test]
+    fn snapshot_with_an_unfit_gbt_is_rejected() {
+        let p = trained();
+        let unfit = cats_ml::gbt::GradientBoostedTrees::new(cats_ml::gbt::GbtConfig::default());
+        let snap = CatsPipeline::snapshot(p.analyzer().clone(), p.detector().config(), unfit);
+        match PipelineSnapshot::from_bytes(&snap.to_io2_bytes().unwrap()) {
+            Err(PersistError::Format(msg)) => assert!(msg.contains("gbt has no trees"), "{msg}"),
+            Err(e) => panic!("not a format error: {e}"),
+            Ok(_) => panic!("a snapshot with an empty forest decoded"),
+        }
     }
 
     #[test]
     fn snapshot_version_is_written_and_validated() {
-        use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
-        let snap = CatsPipeline::snapshot(
-            trained().analyzer().clone(),
-            DetectorConfig::default(),
-            GradientBoostedTrees::new(GbtConfig::default()),
-        );
+        let snap = trained().to_snapshot();
         assert_eq!(snap.format_version, SNAPSHOT_FORMAT_VERSION);
         let bytes = snap.to_io2_bytes().unwrap();
         let file = cats_io::io2::Io2File::parse(&bytes, "t").unwrap();
@@ -824,28 +847,8 @@ mod tests {
 
     #[test]
     fn io2_snapshot_roundtrips_and_scores_bit_identically() {
-        use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
-        use cats_ml::Classifier as _;
         let p = trained();
-        let mut items = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..30 {
-            items.push(fraud_item(i));
-            labels.push(1u8);
-            items.push(normal_item(i));
-            labels.push(0u8);
-        }
-        let rows = crate::features::extract_batch(&items, p.analyzer(), 0);
-        let mut data = cats_ml::Dataset::new(crate::features::N_FEATURES);
-        for (r, &l) in rows.iter().zip(&labels) {
-            data.push(r.as_slice(), l);
-        }
-        let mut gbt = GradientBoostedTrees::new(GbtConfig::default());
-        gbt.fit(&data);
-
-        let snap =
-            CatsPipeline::snapshot(p.analyzer().clone(), DetectorConfig::default(), gbt.clone());
-        let bytes = snap.to_io2_bytes().unwrap();
+        let bytes = p.to_snapshot().to_io2_bytes().unwrap();
         assert!(cats_io::io2::is_io2(&bytes));
 
         // Canonical: decode → encode reproduces the container exactly.
@@ -862,11 +865,8 @@ mod tests {
             let par = Parallelism::with_threads(threads);
             let mut sa = PipelineSnapshot::from_bytes(&bytes).unwrap();
             sa.detector_config.parallelism = par;
-            let sb = CatsPipeline::snapshot(
-                p.analyzer().clone(),
-                DetectorConfig { parallelism: par, ..DetectorConfig::default() },
-                gbt.clone(),
-            );
+            let mut sb = p.to_snapshot();
+            sb.detector_config.parallelism = par;
             let ra = CatsPipeline::restore(sa).detect(&test_items, &sales);
             let rb = CatsPipeline::restore(sb).detect(&test_items, &sales);
             for (x, y) in ra.iter().zip(&rb) {
@@ -879,24 +879,8 @@ mod tests {
     #[test]
     fn feature_reference_roundtrips_in_io2() {
         use crate::features::{extract_batch, FeatureReferenceSet, N_FEATURES};
-        use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
-        use cats_ml::Classifier as _;
         let p = trained();
-        let mut items = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..30 {
-            items.push(fraud_item(i));
-            labels.push(1u8);
-            items.push(normal_item(i));
-            labels.push(0u8);
-        }
-        let rows = extract_batch(&items, p.analyzer(), 0);
-        let mut data = cats_ml::Dataset::new(N_FEATURES);
-        for (r, &l) in rows.iter().zip(&labels) {
-            data.push(r.as_slice(), l);
-        }
-        let mut gbt = GradientBoostedTrees::new(GbtConfig::default());
-        gbt.fit(&data);
+        let rows = extract_batch(&training_rows().0, p.analyzer(), 0);
 
         let fr = FeatureReferenceSet::from_rows(&rows);
         assert_eq!(fr.rows, rows.len() as u64);
@@ -909,8 +893,7 @@ mod tests {
                 && c.len() <= FeatureReferenceSet::MAX_SAMPLE));
         assert_eq!(fr.references().len(), N_FEATURES);
 
-        let snap = CatsPipeline::snapshot(p.analyzer().clone(), DetectorConfig::default(), gbt)
-            .with_feature_reference(fr.clone());
+        let snap = p.to_snapshot().with_feature_reference(fr.clone());
 
         // IO2 round-trip is canonical WITH the optional section present.
         let bytes = snap.to_io2_bytes().unwrap();
@@ -919,11 +902,7 @@ mod tests {
         assert_eq!(back.to_io2_bytes().unwrap(), bytes, "canonical with featref");
 
         // The section is written only when a reference is present.
-        let bare = CatsPipeline::snapshot(
-            snap.analyzer.clone(),
-            DetectorConfig::default(),
-            GradientBoostedTrees::new(GbtConfig::default()),
-        );
+        let bare = p.to_snapshot();
         let bare_bytes = bare.to_io2_bytes().unwrap();
         let bare_file = cats_io::io2::Io2File::parse(&bare_bytes, "t").unwrap();
         assert!(bare_file.section("featref").is_none());
@@ -933,12 +912,7 @@ mod tests {
 
     #[test]
     fn io2_snapshot_save_and_load() {
-        use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
-        let snap = CatsPipeline::snapshot(
-            trained().analyzer().clone(),
-            DetectorConfig::default(),
-            GradientBoostedTrees::new(GbtConfig::default()),
-        );
+        let snap = trained().to_snapshot();
         let dir = std::env::temp_dir().join(format!("cats_snap_io2_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -958,18 +932,14 @@ mod tests {
     fn snapshot_decodes_lexicons_of_single_character_words() {
         // A lexicon word costs its 4-byte length prefix plus its UTF-8
         // bytes, so a one-character CJK word takes 7 bytes in all.
-        use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
+        let p = trained();
         let lexicon = cats_text::Lexicon::new(
             ["好".to_string(), "赞".to_string()],
             ["差".to_string(), "烂".to_string()],
         );
-        let analyzer =
-            SemanticAnalyzer::from_parts(lexicon, trained().analyzer().sentiment().clone());
-        let snap = CatsPipeline::snapshot(
-            analyzer,
-            DetectorConfig::default(),
-            GradientBoostedTrees::new(GbtConfig::default()),
-        );
+        let analyzer = SemanticAnalyzer::from_parts(lexicon, p.analyzer().sentiment().clone());
+        let snap =
+            CatsPipeline::snapshot(analyzer, DetectorConfig::default(), p.detector().gbt().clone());
         let bytes = snap.to_io2_bytes().unwrap();
         let back = PipelineSnapshot::from_bytes(&bytes).expect("short words decode");
         assert_eq!(back.to_io2_bytes().unwrap(), bytes);
@@ -1077,7 +1047,6 @@ mod tests {
                 &["hao0 zan0 bang0 hao1", "zan1 hao2 bang1"],
                 &["cha0 lan0 huai0", "lan1 cha2 huai2"],
                 &training,
-                None,
                 PipelineConfig::default(),
                 store,
             )

@@ -270,8 +270,7 @@ fn score_rows_is_per_row_predict_proba_and_zero_for_non_finite_rows() {
     }
     let mut gbt = GradientBoostedTrees::new(GbtConfig { n_trees: 30, ..GbtConfig::default() });
     gbt.fit(&data);
-    let mut detector = Detector::new(DetectorConfig::default(), Box::new(gbt.clone()));
-    detector.mark_fitted();
+    let detector = Detector::new(DetectorConfig::default(), gbt.clone());
 
     for (case, mut rng) in cases(64) {
         let n = rng.random_range(0..24usize);

@@ -19,13 +19,8 @@
 //! seed; rerun one with `SEEDS` narrowed to it.
 
 use cats_core::pipeline::{LabeledItem, PipelineConfig};
-use cats_core::{
-    features, CatsPipeline, DetectorConfig, FeatureReferenceSet, ItemComments, PipelineSnapshot,
-    N_FEATURES,
-};
+use cats_core::{features, CatsPipeline, FeatureReferenceSet, ItemComments, PipelineSnapshot};
 use cats_io::io2::{Dec, Io2Builder, Io2File};
-use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
-use cats_ml::{Classifier, Dataset};
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -137,13 +132,8 @@ fn trained_snapshot() -> Vec<u8> {
     );
     let items: Vec<ItemComments> = training.iter().map(|l| l.comments.clone()).collect();
     let rows = features::extract_batch(&items, pipeline.analyzer(), 0);
-    let mut data = Dataset::new(N_FEATURES);
-    for (r, l) in rows.iter().zip(&training) {
-        data.push(r.as_slice(), l.label);
-    }
-    let mut gbt = GradientBoostedTrees::new(GbtConfig::default());
-    gbt.fit(&data);
-    CatsPipeline::snapshot(pipeline.analyzer().clone(), DetectorConfig::default(), gbt)
+    pipeline
+        .to_snapshot()
         .with_feature_reference(FeatureReferenceSet::from_rows(&rows))
         .to_io2_bytes()
         .expect("snapshot encodes")

@@ -1,9 +1,10 @@
 //! The classifier interface.
 //!
 //! The paper notes that "any classifier that shows satisfactory
-//! performance can be employed" in the detector, so CATS' detector is
-//! generic over this object-safe trait; all six Table III models implement
-//! it.
+//! performance can be employed" in the detector. All six Table III models
+//! implement this object-safe trait, so the model-selection harness can
+//! compare them on the same feature datasets; the detector then uses the
+//! winner, the GBT, directly.
 
 use crate::data::Dataset;
 use crate::metrics::BinaryMetrics;

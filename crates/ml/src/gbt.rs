@@ -169,6 +169,12 @@ impl GradientBoostedTrees {
         self.flat.n_trees() > 0
     }
 
+    /// Sets the thread count of later fits (results are bit-identical at
+    /// every count).
+    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
+        self.config.parallelism = parallelism;
+    }
+
     /// Number of trees in the fitted ensemble.
     pub fn n_trees(&self) -> usize {
         self.flat.n_trees()

@@ -665,7 +665,7 @@ mod tests {
         // answered by its own version — the zero-skew invariant the
         // rolling swap depends on.
         let slot = slot();
-        let snap = testutil::snapshot_bytes(&slot.load().pipeline);
+        let snap = slot.load().pipeline.to_snapshot().to_io2_bytes().unwrap();
         slot.swap_tagged(testutil::restore(&snap, 0.0), 2);
         let batcher = Arc::new(Batcher::new(
             slot,

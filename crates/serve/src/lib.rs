@@ -90,12 +90,11 @@ pub use wire::{
 pub(crate) mod testutil {
     //! A tiny trained pipeline (mirrors the `cats-core` pipeline tests)
     //! so serving tests exercise real scoring, not a stub. Training is
-    //! the slow part, so tests that need many models train once, call
-    //! [`snapshot_bytes`], and [`restore`] as many cheap copies as they
-    //! want.
+    //! the slow part, so tests that need many models train once, encode
+    //! `CatsPipeline::to_snapshot`, and [`restore`] as many cheap copies
+    //! as they want.
 
     use cats_core::{CatsPipeline, ItemComments, PipelineConfig, PipelineSnapshot};
-    use cats_ml::Classifier as _;
 
     pub fn fraud_item(i: usize) -> ItemComments {
         ItemComments::from_texts([
@@ -137,30 +136,6 @@ pub(crate) mod testutil {
             pipeline.detector_mut().set_threshold(t);
         }
         pipeline
-    }
-
-    /// Encodes a pipeline-equivalent `CATS-IO2` snapshot: a concrete GBT
-    /// retrained on the standard training set (deterministic, so it
-    /// scores identically to `pipeline`'s own classifier).
-    pub fn snapshot_bytes(pipeline: &CatsPipeline) -> Vec<u8> {
-        let mut items = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..30 {
-            items.push(fraud_item(i));
-            labels.push(1u8);
-            items.push(normal_item(i));
-            labels.push(0u8);
-        }
-        let rows = cats_core::features::extract_batch(&items, pipeline.analyzer(), 0);
-        let mut data = cats_ml::Dataset::new(cats_core::N_FEATURES);
-        for (r, &l) in rows.iter().zip(&labels) {
-            data.push(r.as_slice(), l);
-        }
-        let mut gbt = cats_ml::gbt::GradientBoostedTrees::new(cats_ml::gbt::GbtConfig::default());
-        gbt.fit(&data);
-        CatsPipeline::snapshot(pipeline.analyzer().clone(), pipeline.detector().config(), gbt)
-            .to_io2_bytes()
-            .expect("snapshot encodes")
     }
 
     /// Cheap model copy: restore a snapshot and shift its threshold.

@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn slot_versions_are_monotonic_and_readers_keep_their_arc() {
         let pipeline = testutil::trained(0.0);
-        let snap = testutil::snapshot_bytes(&pipeline);
+        let snap = pipeline.to_snapshot().to_io2_bytes().unwrap();
         let slot = ModelSlot::new(pipeline);
         assert_eq!(slot.version(), 1);
         let before = slot.load();
@@ -286,7 +286,7 @@ mod tests {
         // Swap in a tight loop while readers score; every reader must
         // get a report consistent with the version stamp it loaded.
         let pipeline = testutil::trained(0.0);
-        let snap = testutil::snapshot_bytes(&pipeline);
+        let snap = pipeline.to_snapshot().to_io2_bytes().unwrap();
         let slot = Arc::new(ModelSlot::new(pipeline));
         let item = testutil::fraud_item(3);
         let expect_v1 = slot.load().pipeline.detect(std::slice::from_ref(&item), &[50])[0].score;
@@ -322,7 +322,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("cats_serve_watch_{}.cats", std::process::id()));
         let pipeline = testutil::trained(0.0);
-        let snap = testutil::snapshot_bytes(&pipeline);
+        let snap = pipeline.to_snapshot().to_io2_bytes().unwrap();
         std::fs::write(&path, &snap).unwrap();
 
         let slot = Arc::new(ModelSlot::new(pipeline));
@@ -363,7 +363,7 @@ mod tests {
     #[test]
     fn two_generations_stay_resolvable_across_a_tagged_swap() {
         let pipeline = testutil::trained(0.0);
-        let snap = testutil::snapshot_bytes(&pipeline);
+        let snap = pipeline.to_snapshot().to_io2_bytes().unwrap();
         let slot = ModelSlot::new(pipeline);
         assert!(slot.load_version(1).is_some(), "v1 current");
         assert!(slot.load_version(2).is_none(), "v2 not published yet");
@@ -387,7 +387,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("cats_serve_rewrite_{}.cats", std::process::id()));
         let pipeline = testutil::trained(0.0);
-        let snap = testutil::snapshot_bytes(&pipeline);
+        let snap = pipeline.to_snapshot().to_io2_bytes().unwrap();
         let mut shifted = PipelineSnapshot::from_bytes(&snap).unwrap();
         shifted.detector_config.threshold = 0.6;
         let shifted = shifted.to_io2_bytes().unwrap();
@@ -436,7 +436,7 @@ mod tests {
         let mirror = dir.join(format!("cats_serve_lg_{pid}.last_good"));
         let _ = std::fs::remove_file(&mirror);
         let pipeline = testutil::trained(0.0);
-        let snap = testutil::snapshot_bytes(&pipeline);
+        let snap = pipeline.to_snapshot().to_io2_bytes().unwrap();
         cats_io::atomic_write(&path, &snap).unwrap();
 
         let slot = Arc::new(ModelSlot::new(pipeline));

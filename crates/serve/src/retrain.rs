@@ -184,9 +184,12 @@ impl RetrainController {
     /// Runs one control step at virtual tick `tick`. `critical` is the
     /// drift monitor's verdict (`DriftVerdict::Critical`); anything less
     /// is a no-op. `trainer` builds a candidate snapshot from the
-    /// training slice of the matured window — typically
-    /// `CatsPipeline::train_resumable` over a checkpoint store, so a
-    /// crash mid-retrain resumes instead of restarting.
+    /// training slice of the matured window: either a whole pipeline,
+    /// trained by `CatsPipeline::train_resumable` over a checkpoint store
+    /// (so a crash mid-retrain resumes instead of restarting) and taken
+    /// by `CatsPipeline::to_snapshot`, or, as `exp_drift` does, a GBT
+    /// refit under the incumbent's analyzer and passed to
+    /// `CatsPipeline::snapshot`.
     pub fn maybe_retrain(
         &mut self,
         tick: u64,
@@ -327,22 +330,19 @@ mod tests {
         buf
     }
 
-    /// A snapshot whose GBT was fit on the given labels (flip them for a
-    /// poisoned candidate).
-    fn snapshot_with_labels(pipeline: &cats_core::CatsPipeline, flip: bool) -> PipelineSnapshot {
+    /// A poisoned candidate: `pipeline`'s analyzer with a GBT fit on its
+    /// training items under flipped labels.
+    fn poisoned_snapshot(pipeline: &cats_core::CatsPipeline) -> PipelineSnapshot {
         let mut items = Vec::new();
         let mut labels = Vec::new();
         for i in 0..30 {
             items.push(testutil::fraud_item(i));
-            labels.push(if flip { 0u8 } else { 1u8 });
+            labels.push(0u8);
             items.push(testutil::normal_item(i));
-            labels.push(if flip { 1u8 } else { 0u8 });
+            labels.push(1u8);
         }
         let rows = cats_core::features::extract_batch(&items, pipeline.analyzer(), 0);
-        let mut data = cats_ml::Dataset::new(cats_core::N_FEATURES);
-        for (r, &l) in rows.iter().zip(&labels) {
-            data.push(r.as_slice(), l);
-        }
+        let data = cats_core::detector::training_dataset(&rows, &labels);
         let mut gbt = cats_ml::gbt::GradientBoostedTrees::new(cats_ml::gbt::GbtConfig::default());
         gbt.fit(&data);
         cats_core::CatsPipeline::snapshot(
@@ -394,7 +394,7 @@ mod tests {
     #[test]
     fn promotes_a_sound_candidate_and_respects_cooldown() {
         let slot = Arc::new(ModelSlot::new(testutil::trained(0.0)));
-        let snapshot = snapshot_with_labels(&slot.load().pipeline, false);
+        let snapshot = slot.load().pipeline.to_snapshot();
         let mut ctl = RetrainController::new(
             slot.clone(),
             RetrainConfig { min_labeled: 16, cooldown_ticks: 50, ..RetrainConfig::default() },
@@ -431,7 +431,7 @@ mod tests {
     #[test]
     fn rejects_a_poisoned_candidate_leaving_the_slot_untouched() {
         let slot = Arc::new(ModelSlot::new(testutil::trained(0.0)));
-        let poisoned = snapshot_with_labels(&slot.load().pipeline, true);
+        let poisoned = poisoned_snapshot(&slot.load().pipeline);
         let mut ctl = RetrainController::new(
             slot.clone(),
             RetrainConfig { min_labeled: 16, ..RetrainConfig::default() },
@@ -478,7 +478,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.snapshot");
         let slot = Arc::new(ModelSlot::new(testutil::trained(0.0)));
-        let snapshot = snapshot_with_labels(&slot.load().pipeline, false);
+        let snapshot = slot.load().pipeline.to_snapshot();
         let mut ctl = RetrainController::new(
             slot.clone(),
             RetrainConfig {
