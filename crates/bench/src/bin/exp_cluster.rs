@@ -19,7 +19,7 @@
 //! Every invariant is asserted here; the numbers go to the stdout
 //! table. Routed throughput is measured by `perf/` (`score_routed`).
 
-use cats_bench::{percentile, render, setup, Args};
+use cats_bench::{percentile, render, setup, Args, ScratchDir};
 use cats_serve::{
     Router, RouterConfig, ScoreClient, ScoreItem, ShardOpts, ShardProcess, TrafficTrace,
 };
@@ -209,8 +209,7 @@ fn main() {
     println!("training pipeline...");
     let pipeline = setup::train_pipeline(&platform, args.seed);
     let snapshot = pipeline.to_snapshot();
-    let dir = std::env::temp_dir().join(format!("cats_cluster_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create model dir");
+    let dir = ScratchDir::new("cats_cluster");
     let model_v1 = dir.join("model_v1.cats");
     let model_v2 = dir.join("model_v2.cats");
     snapshot.save(&model_v1).expect("write model v1");
@@ -303,7 +302,6 @@ fn main() {
     let delta = cats_obs::global().snapshot().diff(&before);
     router.shutdown();
     drop(children);
-    let _ = std::fs::remove_dir_all(&dir);
 
     let ejections = counter(&delta, "cats.serve.router.ejections");
     let readmissions = counter(&delta, "cats.serve.router.readmissions");

@@ -28,7 +28,7 @@
 //! they were established; at other seeds the frozen lane may barely
 //! decay, leaving nothing to recover.
 
-use cats_bench::{render, setup, Args};
+use cats_bench::{render, setup, Args, ScratchDir};
 use cats_core::{
     CatsPipeline, DetectorConfig, FeatureReferenceSet, FeatureVector, ItemComments,
     PipelineSnapshot,
@@ -316,8 +316,7 @@ fn main() {
     // clients score; the watcher swaps each rewrite in and no request
     // may be lost.
     let t0 = Instant::now();
-    let dir = std::env::temp_dir().join(format!("cats-exp-drift-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create snapshot dir");
+    let dir = ScratchDir::new("cats-exp-drift");
     let model_path = dir.join("model.cats");
     cats_io::atomic_write(&model_path, &seed_bytes).expect("write initial snapshot");
     let serve_slot = Arc::new(ModelSlot::new(
@@ -424,7 +423,6 @@ fn main() {
     let drift_rows = serve_monitor.rows_seen();
     watcher.stop();
     server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(lost, 0, "drift-triggered hot-swaps must not lose requests");
     assert!(ok > 0, "load phase scored nothing");
     assert!(

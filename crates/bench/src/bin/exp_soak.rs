@@ -22,7 +22,7 @@
 //! * the kill-resumed training run is bit-identical to uninterrupted;
 //! * the restart after a torn primary serves from the mirror.
 
-use cats_bench::{render, setup, Args};
+use cats_bench::{render, setup, Args, ScratchDir};
 use cats_core::pipeline::LabeledItem;
 use cats_core::{CatsPipeline, ItemComments};
 use cats_io::CheckpointStore;
@@ -49,6 +49,10 @@ const TICK: Duration = Duration::from_millis(5);
 /// How long a torn snapshot is left on disk before the valid bytes are
 /// restored — long enough for the 20ms watcher to observe the tear.
 const TORN_WINDOW: Duration = Duration::from_millis(60);
+/// Longest wait for the watcher to read a restored snapshot before the
+/// next fault may fire; a restore it never reads fails the reload
+/// assertion below.
+const RESTORE_WAIT: Duration = Duration::from_secs(2);
 /// Labeled reviews per polarity for the resume phase (small: the phase
 /// trains twice and only determinism matters, not model quality).
 const RESUME_SENTIMENT_REVIEWS: usize = 400;
@@ -221,7 +225,16 @@ fn fire(
             // in-memory model serving, and swap the restore back in.
             let _ = chaos::torn_rewrite(primary, valid_bytes, rng);
             std::thread::sleep(TORN_WINDOW);
+            // The next fault waits until the watcher has read the
+            // restore: a tear landing within one poll interval would
+            // otherwise overwrite it unseen.
+            let reloads = cats_obs::counter("cats.serve.model.reloads");
+            let before = reloads.get();
             cats_io::atomic_write(primary, valid_bytes).expect("restore primary snapshot");
+            let deadline = Instant::now() + RESTORE_WAIT;
+            while reloads.get() == before && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(2));
+            }
         }
         Fault::WorkerPanic => {
             injected.worker_panic += 1;
@@ -232,8 +245,7 @@ fn fire(
 
 fn main() {
     let args = Args::parse(0.01, 0x50AC);
-    let ckpt_root = std::env::temp_dir().join(format!("cats_soak_{}", std::process::id()));
-    std::fs::create_dir_all(&ckpt_root).expect("create soak scratch dir");
+    let ckpt_root = ScratchDir::new("cats_soak");
 
     // Phase 1: checkpoint/resume bit-identity (trains twice; a smaller
     // platform keeps the doubled cost in check).
@@ -390,7 +402,6 @@ fn main() {
     let restart_ok = resp.verdicts.len() == probe_batch.len();
     assert!(restart_ok, "restarted server must score a full batch");
     server2.shutdown();
-    let _ = std::fs::remove_dir_all(&ckpt_root);
 
     let sustained_rps = tally.requests as f64 / tally.elapsed_s;
     println!(

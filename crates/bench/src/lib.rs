@@ -9,7 +9,8 @@
 //! - [`render`]: ASCII table rendering.
 //!
 //! [`percentile`] summarises the latency samples the serving and
-//! streaming benches collect.
+//! streaming benches collect, and [`ScratchDir`] holds the model files
+//! a bench writes, removing them even when the bench fails.
 //!
 //! The serving benches start their servers and routers on port 0 with
 //! `cats_serve::Server::start` and `cats_serve::Router::start`.
@@ -23,6 +24,35 @@ pub mod render;
 pub mod setup;
 
 pub use args::Args;
+use std::path::{Path, PathBuf};
+
+/// A directory `temp_dir()/<prefix>_<pid>`, removed with its contents
+/// when dropped — also when a bench's assertion unwinds out of `main`.
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// Creates the directory (and any missing parents).
+    pub fn new(prefix: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("{prefix}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir)
+            .unwrap_or_else(|e| panic!("create scratch dir {}: {e}", dir.display()));
+        Self(dir)
+    }
+}
+
+impl std::ops::Deref for ScratchDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// Exact percentile `q` in `[0, 1]` of an ascending sample, by nearest
 /// rank; 0.0 for an empty sample.
@@ -36,7 +66,20 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::percentile;
+    use super::{percentile, ScratchDir};
+
+    #[test]
+    fn scratch_dir_is_removed_when_a_bench_panics() {
+        let mut path = std::path::PathBuf::new();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let dir = ScratchDir::new("cats_bench_scratch_test");
+            std::fs::write(dir.join("f"), b"x").unwrap();
+            path = dir.to_path_buf();
+            panic!("a failed bench assertion");
+        }));
+        assert!(unwound.is_err());
+        assert!(!path.exists(), "a panic must remove the scratch dir too");
+    }
 
     #[test]
     fn percentile_is_the_nearest_rank() {

@@ -2,9 +2,12 @@
 //!
 //! This is the counterpart of [`crate::http`]: one request per
 //! connection, `Connection: close`, read-to-EOF. It exists so
-//! `cats-cli score`, the `exp_serve` load generator and the
-//! integration tests all speak the wire format through one typed
-//! implementation instead of three hand-rolled socket loops.
+//! `cats-cli score`, the `exp_serve` load generator, the router and
+//! the integration tests all speak the wire format through one typed
+//! implementation instead of hand-rolled socket loops. Score bodies
+//! are written by [`crate::wire::write_score_request`], borrowing each
+//! item's comments rather than cloning them; the router hands its own
+//! pre-written sub-request bodies to the same exchange.
 //!
 //! Errors are typed finely enough for a retry policy to act on them:
 //! [`ClientError::TimedOut`] means the peer is *slow* (it may still
@@ -15,8 +18,8 @@
 //! this distinction.
 
 use crate::wire::{
-    AdminLoadRequest, AdminLoadResponse, HealthResponse, ScoreItem, ScoreRequest, ScoreResponse,
-    WireSnapshot,
+    write_score_request, AdminLoadRequest, AdminLoadResponse, HealthResponse, ScoreItem,
+    ScoreResponse, WireSnapshot,
 };
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -107,8 +110,7 @@ impl ScoreClient {
     /// `POST /v1/score`: returns the verdicts or a typed error (429 and
     /// 503 surface as [`ClientError::Http`] with that status).
     pub fn score(&self, items: &[ScoreItem]) -> Result<ScoreResponse, ClientError> {
-        let body = serde_json::to_string(items).map_err(|e| ClientError::Parse(e.to_string()))?;
-        self.score_body(&body)
+        self.score_body(&write_score_request(&wire_items(items), None))
     }
 
     /// [`ScoreClient::score`] pinned to one model version: the server
@@ -118,12 +120,13 @@ impl ScoreClient {
         items: &[ScoreItem],
         pin_version: u64,
     ) -> Result<ScoreResponse, ClientError> {
-        let req = ScoreRequest { items: items.to_vec(), pin_version: Some(pin_version) };
-        let body = serde_json::to_string(&req).map_err(|e| ClientError::Parse(e.to_string()))?;
-        self.score_body(&body)
+        self.score_body(&write_score_request(&wire_items(items), Some(pin_version)))
     }
 
-    fn score_body(&self, body: &str) -> Result<ScoreResponse, ClientError> {
+    /// `POST /v1/score` with a body that is already written — the
+    /// router builds each sub-request body once and re-sends it as is
+    /// on failover.
+    pub(crate) fn score_body(&self, body: &str) -> Result<ScoreResponse, ClientError> {
         let (status, resp_body) = self.request("POST", "/v1/score", Some(body))?;
         if status != 200 {
             return Err(ClientError::Http { status, body: resp_body });
@@ -215,6 +218,12 @@ impl ScoreClient {
             None => ClientError::Io(format!("connect {}: no addresses resolved", self.addr)),
         })
     }
+}
+
+/// Borrows `items` for [`write_score_request`], without copying a
+/// comment.
+fn wire_items(items: &[ScoreItem]) -> Vec<crate::wire::ScoreItemRef<'_>> {
+    items.iter().map(ScoreItem::as_wire).collect()
 }
 
 /// Splits a raw HTTP/1.1 response into (status, body), verifying the

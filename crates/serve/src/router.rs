@@ -33,6 +33,17 @@
 //! slot; requests after the bump pin the new version. No request can
 //! observe both.
 //!
+//! ## Forwarding comment bytes
+//!
+//! The router decodes a request with [`decode_score_request`], which
+//! leaves every comment a slice of the client's body unless it held an
+//! escape, and writes each shard's body straight from those slices with
+//! [`write_score_request`]. It copies comment bytes but never clones an
+//! item or re-encodes a comment. Each sub-request body is written once
+//! per attempt and re-sent unchanged on failover. A shard's answer must
+//! hold one verdict per item of its sub-request, in order, or the
+//! request fails with 502.
+//!
 //! The router answers HTTP through the same front end as a scoring
 //! [`crate::Server`], so it reads requests under the same limits.
 
@@ -41,8 +52,8 @@ use crate::client::{ClientError, ScoreClient};
 use crate::health::{HealthConfig, HealthEvent, ShardHealth, ShardState};
 use crate::listener::{write_json, write_json_error, write_response, Handler, Listener, Request};
 use crate::wire::{
-    parse_score_request, RouterHealthResponse, ScoreItem, ScoreResponse, ScoreVerdict,
-    ShardHealthInfo, WireSnapshot,
+    decode_score_request, write_score_request, RouterHealthResponse, ScoreItemRef, ScoreResponse,
+    ScoreVerdict, ShardHealthInfo, WireSnapshot,
 };
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -357,6 +368,11 @@ enum AttemptError {
     /// Some shard no longer holds the pinned version — retry the whole
     /// request at the (new) cluster version.
     Conflict,
+    /// A sub-request thread panicked (a router bug): answer 500.
+    Internal(String),
+    /// A shard answered 200 with verdicts that do not match its
+    /// sub-request item for item: answer 502.
+    BadAnswer(String),
     /// A shard answered an HTTP error that is not ours to retry
     /// (backpressure, bad batch) — forward it.
     Upstream(u16, String),
@@ -364,12 +380,28 @@ enum AttemptError {
     AllDown(String),
 }
 
+impl AttemptError {
+    /// Which error a whole attempt reports when sub-requests fail
+    /// differently (lowest first): a conflict re-pins the whole
+    /// request, then router faults, bad shard answers, forwarded
+    /// upstream errors, and total unreachability.
+    fn rank(&self) -> u8 {
+        match self {
+            Self::Conflict => 0,
+            Self::Internal(_) => 1,
+            Self::BadAnswer(_) => 2,
+            Self::Upstream(..) => 3,
+            Self::AllDown(_) => 4,
+        }
+    }
+}
+
 fn score(stream: &mut TcpStream, shared: &RouterShared, body: &str) {
     cats_obs::counter("cats.serve.router.requests").inc();
-    let (items, client_pin) = match parse_score_request(body) {
-        Ok(parsed) => parsed,
+    let (items, client_pin) = match decode_score_request(body) {
+        Ok(decoded) => decoded,
         Err(e) => {
-            write_json_error(stream, 400, "", &e);
+            write_json_error(stream, 400, "", &format!("body: {e}"));
             return;
         }
     };
@@ -409,6 +441,14 @@ fn score(stream: &mut TcpStream, shared: &RouterShared, body: &str) {
         Some(AttemptError::Conflict) => {
             write_json_error(stream, 409, "", "model version conflict persisted across retries");
         }
+        Some(AttemptError::Internal(msg)) => {
+            cats_obs::counter("cats.serve.router.internal_errors").inc();
+            write_json_error(stream, 500, "", &msg);
+        }
+        Some(AttemptError::BadAnswer(msg)) => {
+            cats_obs::counter("cats.serve.router.bad_answers").inc();
+            write_json_error(stream, 502, "", &msg);
+        }
         Some(AttemptError::AllDown(msg)) => {
             cats_obs::counter("cats.serve.router.unroutable").inc();
             write_json_error(stream, 503, "Retry-After: 1\r\n", &msg);
@@ -423,7 +463,7 @@ fn score(stream: &mut TcpStream, shared: &RouterShared, body: &str) {
 /// One fan-out attempt at a fixed pin. Returns verdicts in item order.
 fn score_once(
     shared: &RouterShared,
-    items: &[ScoreItem],
+    items: &[ScoreItemRef<'_>],
     pin: u64,
 ) -> Result<Vec<ScoreVerdict>, AttemptError> {
     let n_shards = shared.shards.len();
@@ -441,7 +481,7 @@ fn score_once(
         per_shard[target].push(idx);
     }
 
-    let mut slots: Vec<Option<ScoreVerdict>> = (0..items.len()).map(|_| None).collect();
+    let mut slots: Vec<Option<ScoreVerdict>> = vec![None; items.len()];
     let mut errors: Vec<AttemptError> = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = per_shard
@@ -449,45 +489,65 @@ fn score_once(
             .enumerate()
             .filter(|(_, idxs)| !idxs.is_empty())
             .map(|(target, idxs)| {
-                let sub: Vec<ScoreItem> = idxs.iter().map(|&i| items[i].clone()).collect();
-                scope.spawn(move || (idxs, sub_score(shared, target, &sub, pin)))
+                scope.spawn(move || {
+                    // Each sub-request body is written once, straight
+                    // from the slices of the client's body, and re-sent
+                    // unchanged on failover.
+                    let body = write_score_request(idxs.iter().map(|&i| &items[i]), Some(pin));
+                    let ids: Vec<u64> = idxs.iter().map(|&i| items[i].item_id).collect();
+                    (idxs, sub_score(shared, target, &body, &ids, pin))
+                })
             })
             .collect();
         for h in handles {
-            let (idxs, result) = h.join().expect("router sub-request thread");
-            match result {
-                Ok(verdicts) => {
+            match h.join() {
+                Ok((idxs, Ok(verdicts))) => {
                     for (&i, v) in idxs.iter().zip(verdicts) {
                         slots[i] = Some(v);
                     }
                 }
-                Err(e) => errors.push(e),
+                Ok((_, Err(e))) => errors.push(e),
+                Err(_) => errors.push(AttemptError::Internal("router sub-request panicked".into())),
             }
         }
     });
-
-    // Conflict dominates (the whole request must re-pin), then upstream
-    // backpressure, then total unreachability.
-    if errors.iter().any(|e| matches!(e, AttemptError::Conflict)) {
-        return Err(AttemptError::Conflict);
+    if let Some(e) = errors.into_iter().min_by_key(AttemptError::rank) {
+        return Err(e);
     }
-    if let Some(pos) = errors.iter().position(|e| matches!(e, AttemptError::Upstream(..))) {
-        return Err(errors.swap_remove(pos));
-    }
-    if let Some(pos) = errors.iter().position(|e| matches!(e, AttemptError::AllDown(_))) {
-        return Err(errors.swap_remove(pos));
-    }
+    // Every item went to exactly one sub-request, and `check_answer`
+    // passed each sub-request's verdicts item for item.
     Ok(slots.into_iter().map(|v| v.expect("every item answered")).collect())
+}
+
+/// Checks that a shard answered one verdict per sub-request item, in
+/// order: a short, long or reordered answer would otherwise be zipped
+/// onto the wrong items.
+fn check_answer(sid: usize, ids: &[u64], verdicts: &[ScoreVerdict]) -> Result<(), AttemptError> {
+    if verdicts.len() != ids.len() {
+        return Err(AttemptError::BadAnswer(format!(
+            "shard {sid} answered {} verdicts for {} items",
+            verdicts.len(),
+            ids.len()
+        )));
+    }
+    match ids.iter().zip(verdicts).position(|(&id, v)| v.item_id != id) {
+        Some(k) => Err(AttemptError::BadAnswer(format!(
+            "shard {sid} answered item {} at position {k}, which holds item {}",
+            verdicts[k].item_id, ids[k]
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// One sub-request: try the target shard, then walk the remaining
 /// shards in ring order, skipping ejected ones (unless everything is
 /// ejected, in which case try them anyway — a probe may simply not have
-/// noticed a recovery yet).
+/// noticed a recovery yet). `ids` are the items `body` holds, in order.
 fn sub_score(
     shared: &RouterShared,
     target: usize,
-    items: &[ScoreItem],
+    body: &str,
+    ids: &[u64],
     pin: u64,
 ) -> Result<Vec<ScoreVerdict>, AttemptError> {
     let n = shared.shards.len();
@@ -503,7 +563,7 @@ fn sub_score(
         if round > 0 {
             cats_obs::counter("cats.serve.router.retries").inc();
         }
-        match shared.client(&shard.addr).score_pinned(items, pin) {
+        match shared.client(&shard.addr).score_body(body) {
             Ok(resp) => {
                 if resp.model_version != pin {
                     // A shard answered with the wrong generation — this
@@ -512,6 +572,7 @@ fn sub_score(
                     cats_obs::counter("cats.serve.router.skew_merges").inc();
                     return Err(AttemptError::Conflict);
                 }
+                check_answer(sid, ids, &resp.verdicts)?;
                 record_success(shared, sid);
                 return Ok(resp.verdicts);
             }
@@ -756,5 +817,89 @@ mod tests {
         assert_eq!(ring.preference(42), vec![0]);
         // Zero-shard input clamps to one.
         assert_eq!(HashRing::new(0, 0).primary(7), 0);
+    }
+
+    /// A shard stand-in on the crate's own front end. It answers
+    /// `/healthz` as a version-1 shard, and `/v1/score` with `answer`
+    /// applied to the verdicts a correct shard gives (one per item, in
+    /// order).
+    struct FakeShard(fn(Vec<ScoreVerdict>) -> Vec<ScoreVerdict>);
+
+    impl Handler for FakeShard {
+        fn serve(&self, stream: &mut TcpStream, request: &Request) {
+            if request.path != "/v1/score" {
+                let health = r#"{"status":"ok","model_version":1,"queue_depth":0}"#;
+                write_response(stream, 200, "application/json", "", health);
+                return;
+            }
+            let (items, pin) = decode_score_request(&request.body).expect("router body decodes");
+            let verdicts = items
+                .iter()
+                .map(|i| ScoreVerdict {
+                    item_id: i.item_id,
+                    filter: "classified".into(),
+                    score: 0.5,
+                    is_fraud: false,
+                })
+                .collect();
+            let model_version = pin.expect("router pins every sub-request");
+            write_json(stream, &ScoreResponse { model_version, verdicts: (self.0)(verdicts) });
+        }
+    }
+
+    #[test]
+    fn a_short_long_or_reordered_shard_answer_is_a_502() {
+        type Answer = fn(Vec<ScoreVerdict>) -> Vec<ScoreVerdict>;
+        let cases: [(&str, Answer, u16); 4] = [
+            ("faithful", |v| v, 200),
+            (
+                "short",
+                |mut v| {
+                    v.pop();
+                    v
+                },
+                502,
+            ),
+            (
+                "long",
+                |mut v| {
+                    v.push(v[0].clone());
+                    v
+                },
+                502,
+            ),
+            (
+                "reordered",
+                |mut v| {
+                    v.reverse();
+                    v
+                },
+                502,
+            ),
+        ];
+        let body = r#"[{"item_id":1,"sales_volume":5,"comments":["a"]},
+                       {"item_id":2,"sales_volume":5,"comments":["b\\\"c"]},
+                       {"item_id":1,"sales_volume":5,"comments":[]},
+                       {"item_id":3,"sales_volume":5,"comments":["d"]}]"#;
+        for (name, answer, status) in cases {
+            let (mut shard, _) =
+                Listener::start("127.0.0.1:0", "fake-shard", || FakeShard(answer)).expect("bind");
+            let router = Router::start(vec![shard.addr().to_string()], RouterConfig::default())
+                .expect("router");
+            let client =
+                ScoreClient::new(router.addr().to_string()).with_timeout(Duration::from_secs(10));
+            match (client.score_body(body), status) {
+                (Ok(resp), 200) => {
+                    let ids: Vec<u64> = resp.verdicts.iter().map(|v| v.item_id).collect();
+                    assert_eq!(ids, [1, 2, 1, 3], "{name}");
+                }
+                (Err(ClientError::Http { status: 502, body }), 502) => {
+                    assert!(body.contains("shard 0 answered"), "{name}: {body}");
+                }
+                (other, _) => panic!("{name}: want {status}, got {other:?}"),
+            }
+            router.shutdown();
+            shard.shutdown(|| {});
+        }
     }
 }

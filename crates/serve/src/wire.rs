@@ -6,9 +6,20 @@
 //! version that scored the batch, so clients — and the hot-swap tests —
 //! can verify that every verdict in a response came from one coherent
 //! model.
+//!
+//! Score bodies are read by one decoder, [`decode_score_request`], which
+//! leaves each comment a slice of the body unless it held escapes.
+//! [`parse_score_request`] is that decoder plus an owning copy, and
+//! [`write_score_request`] writes a wrapped body back from decoded
+//! items: a comment that was never unescaped is copied between quotes
+//! byte for byte, so the router forwards comments without re-encoding
+//! them. The derived `Deserialize` on [`ScoreItem`] and
+//! [`ScoreRequest`] is kept as the test oracle for the decoder.
 
 use cats_core::FilterDecision;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, ErrorKind, Parser, Serialize};
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// One item to score: the public data CATS consumes (§II-A).
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
@@ -212,13 +223,218 @@ pub struct ScoreRequest {
     pub pin_version: Option<u64>,
 }
 
+/// One comment text of a decoded score body.
+///
+/// Only [`decode_score_request`] makes the verbatim form: a string the
+/// parser returned borrowed holds no `"`, no `\` and no control
+/// character, so it is valid JSON string content as it stands and
+/// [`write_score_request`] copies it between quotes. Every other text —
+/// one that held escapes, or one borrowed from a [`ScoreItem`] — is
+/// escaped on write by `serde::write_str`.
+#[derive(Debug, Clone)]
+pub struct WireText<'a>(Text<'a>);
+
+#[derive(Debug, Clone)]
+enum Text<'a> {
+    Verbatim(&'a str),
+    Escape(Cow<'a, str>),
+}
+
+impl<'a> WireText<'a> {
+    /// The comment text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Text::Verbatim(s) => s,
+            Text::Escape(s) => s,
+        }
+    }
+
+    /// True when the text is a slice of the body it was decoded from.
+    pub fn is_verbatim(&self) -> bool {
+        matches!(self.0, Text::Verbatim(_))
+    }
+
+    fn into_string(self) -> String {
+        match self.0 {
+            Text::Verbatim(s) => s.to_owned(),
+            Text::Escape(s) => s.into_owned(),
+        }
+    }
+
+    fn write(&self, out: &mut String) {
+        match &self.0 {
+            Text::Verbatim(s) => {
+                out.push('"');
+                out.push_str(s);
+                out.push('"');
+            }
+            Text::Escape(s) => serde::write_str(out, s),
+        }
+    }
+}
+
+/// A [`ScoreItem`] whose comments borrow from a request body (or from an
+/// owned item, through [`ScoreItem::as_wire`]).
+#[derive(Debug, Clone)]
+pub struct ScoreItemRef<'a> {
+    /// Platform item id, echoed back in the verdict.
+    pub item_id: u64,
+    /// Public sales volume (stage-1 filter input).
+    pub sales_volume: u64,
+    /// Raw comment texts, in request order.
+    pub comments: Vec<WireText<'a>>,
+}
+
+impl ScoreItemRef<'_> {
+    /// The owned item, copying each comment once.
+    pub fn into_owned(self) -> ScoreItem {
+        ScoreItem {
+            item_id: self.item_id,
+            sales_volume: self.sales_volume,
+            comments: self.comments.into_iter().map(WireText::into_string).collect(),
+        }
+    }
+}
+
+impl ScoreItem {
+    /// This item as [`write_score_request`] input; its comments are
+    /// escaped on write.
+    pub fn as_wire(&self) -> ScoreItemRef<'_> {
+        ScoreItemRef {
+            item_id: self.item_id,
+            sales_volume: self.sales_volume,
+            comments: self
+                .comments
+                .iter()
+                .map(|c| WireText(Text::Escape(Cow::Borrowed(c))))
+                .collect(),
+        }
+    }
+}
+
+/// Decodes a score request body — bare array or `{"items": [...]}` with
+/// an optional `pin_version` (absent, `null` or a number) — into items
+/// whose comments borrow from `body`; only comments that held escapes
+/// are copied. Accepts and rejects exactly what the derived
+/// `Deserialize` of `Vec<ScoreItem>`, then of [`ScoreRequest`], does:
+/// fields in any order, unknown fields skipped, duplicate or missing
+/// ones refused, only whitespace after the value.
+pub fn decode_score_request(
+    body: &str,
+) -> Result<(Vec<ScoreItemRef<'_>>, Option<u64>), serde::Error> {
+    let mut p = Parser::new(body);
+    let decoded = if p.peek()? == b'{' {
+        p.begin_object()?;
+        let (mut items, mut pin) = (None, None);
+        while let Some(key) = p.next_key()? {
+            match &*key {
+                "items" => field(&mut p, &mut items, "items", read_items)?,
+                "pin_version" => field(&mut p, &mut pin, "pin_version", |p| {
+                    Ok(if p.try_null()? { None } else { Some(p.u64()?) })
+                })?,
+                _ => p.skip_value()?,
+            }
+        }
+        (required(&p, items, "items")?, pin.flatten())
+    } else {
+        (read_items(&mut p)?, None)
+    };
+    p.finish()?;
+    Ok(decoded)
+}
+
+/// Reads one struct field into its slot, refusing a second occurrence.
+fn field<'a, T>(
+    p: &mut Parser<'a>,
+    slot: &mut Option<T>,
+    name: &str,
+    read: impl FnOnce(&mut Parser<'a>) -> Result<T, serde::Error>,
+) -> Result<(), serde::Error> {
+    if slot.is_some() {
+        return Err(p.error(ErrorKind::DuplicateField, format!("duplicate field `{name}`")));
+    }
+    *slot = Some(read(p)?);
+    Ok(())
+}
+
+fn required<T>(p: &Parser<'_>, slot: Option<T>, name: &str) -> Result<T, serde::Error> {
+    slot.ok_or_else(|| p.error(ErrorKind::MissingField, format!("missing field `{name}`")))
+}
+
+fn read_items<'a>(p: &mut Parser<'a>) -> Result<Vec<ScoreItemRef<'a>>, serde::Error> {
+    let mut items = Vec::new();
+    p.begin_array()?;
+    while p.next_element()? {
+        p.begin_object()?;
+        let (mut item_id, mut sales_volume, mut comments) = (None, None, None);
+        while let Some(key) = p.next_key()? {
+            match &*key {
+                "item_id" => field(p, &mut item_id, "item_id", Parser::u64)?,
+                "sales_volume" => field(p, &mut sales_volume, "sales_volume", Parser::u64)?,
+                "comments" => field(p, &mut comments, "comments", read_comments)?,
+                _ => p.skip_value()?,
+            }
+        }
+        items.push(ScoreItemRef {
+            item_id: required(p, item_id, "item_id")?,
+            sales_volume: required(p, sales_volume, "sales_volume")?,
+            comments: required(p, comments, "comments")?,
+        });
+    }
+    Ok(items)
+}
+
+fn read_comments<'a>(p: &mut Parser<'a>) -> Result<Vec<WireText<'a>>, serde::Error> {
+    let mut comments = Vec::new();
+    p.begin_array()?;
+    while p.next_element()? {
+        comments.push(WireText(match p.string()? {
+            Cow::Borrowed(s) => Text::Verbatim(s),
+            owned => Text::Escape(owned),
+        }));
+    }
+    Ok(comments)
+}
+
 /// Parses a score request body — bare array or `{"items": [...]}` —
-/// returning the items plus the optional model-version pin.
+/// returning the owned items plus the optional model-version pin.
 pub fn parse_score_request(body: &str) -> Result<(Vec<ScoreItem>, Option<u64>), String> {
-    serde_json::from_str::<Vec<ScoreItem>>(body)
-        .map(|items| (items, None))
-        .or_else(|_| serde_json::from_str::<ScoreRequest>(body).map(|w| (w.items, w.pin_version)))
-        .map_err(|e| format!("body: {e}"))
+    let (items, pin) = decode_score_request(body).map_err(|e| format!("body: {e}"))?;
+    Ok((items.into_iter().map(ScoreItemRef::into_owned).collect(), pin))
+}
+
+/// Writes a wrapped score body, `{"items":[…],"pin_version":N}` (no
+/// `pin_version` when `None`) — the text `serde_json::to_string` gives
+/// for the same [`ScoreRequest`], but with verbatim comments copied
+/// rather than re-encoded.
+pub fn write_score_request<'i, 'a: 'i>(
+    items: impl IntoIterator<Item = &'i ScoreItemRef<'a>>,
+    pin_version: Option<u64>,
+) -> String {
+    let mut out = String::from("{\"items\":[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"item_id\":{},\"sales_volume\":{},\"comments\":[",
+            item.item_id, item.sales_volume
+        );
+        for (j, c) in item.comments.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            c.write(&mut out);
+        }
+        out.push_str("]}");
+    }
+    out.push(']');
+    if let Some(pin) = pin_version {
+        let _ = write!(out, ",\"pin_version\":{pin}");
+    }
+    out.push('}');
+    out
 }
 
 /// One comment event for `POST /v1/ingest` — the streaming mirror of

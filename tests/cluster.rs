@@ -16,11 +16,14 @@ use cats::ml::gbt::{GbtConfig, GradientBoostedTrees};
 use cats::ml::{Classifier, Dataset};
 use cats::platform::comment_model::{generate_comment, CommentStyle};
 use cats::platform::datasets;
+use cats::serve::wire::filter_str;
 use cats::serve::{
-    BatchConfig, HealthConfig, ModelSlot, Router, RouterConfig, ScoreClient, ScoreItem,
-    ServeConfig, Server,
+    BatchConfig, ChaosRng, HealthConfig, ModelSlot, Router, RouterConfig, ScoreClient, ScoreItem,
+    ScoreRequest, ScoreResponse, ServeConfig, Server,
 };
 use rand::{rngs::StdRng, SeedableRng};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -180,6 +183,88 @@ fn routed_scores_are_bit_identical_to_offline_detect() {
         assert_eq!(resp.model_version, 1, "whole cluster serves version 1");
         assert_eq!(resp.verdicts.len(), chunk.len());
         assert_matches_expected(&resp.verdicts, offset);
+    }
+    router.shutdown();
+    for s in shards {
+        s.shutdown();
+    }
+}
+
+/// Sends one raw `POST /v1/score` and returns the status and body.
+fn post_score(addr: SocketAddr, body: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write!(
+        stream,
+        "POST /v1/score HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("write");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read");
+    let status = raw.get(9..12).and_then(|s| s.parse().ok()).expect("status line");
+    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
+    (status, body)
+}
+
+#[test]
+fn routed_generated_requests_match_offline_detect_bit_for_bit() {
+    // Generated requests: items drawn with repeats (duplicates within a
+    // request), some comment lists emptied, and comments that must be
+    // escaped, raw non-ASCII, or written with `\u` escapes, so the router
+    // forwards both verbatim and re-escaped comments.
+    const EXTRA: [&str; 4] =
+        ["quote \" back \\ slash / end", "tab\tnl\n控制\u{1}字符", "😀 é ✓ hao0", ""];
+    let shards = start_shards(2);
+    let router = start_router(&shards);
+    let s = setup();
+    let offline = restore(&s.snapshot);
+    let mut rng = ChaosRng::new(0xD1FF);
+    for r in 0..12 {
+        let n = 1 + rng.below(40) as usize;
+        let mut items: Vec<ScoreItem> = Vec::with_capacity(n);
+        for _ in 0..n {
+            if !items.is_empty() && rng.chance(0.2) {
+                let again = items[rng.below(items.len() as u64) as usize].clone();
+                items.push(again);
+                continue;
+            }
+            let mut item = s.items[rng.below(s.items.len() as u64) as usize].clone();
+            if rng.chance(0.1) {
+                item.comments.clear();
+            }
+            for c in item.comments.iter_mut() {
+                if rng.chance(0.3) {
+                    c.push(' ');
+                    c.push_str(EXTRA[rng.below(EXTRA.len() as u64) as usize]);
+                }
+            }
+            items.push(item);
+        }
+        let mut body = if r % 2 == 0 {
+            serde_json::to_string(&items).expect("encode")
+        } else {
+            serde_json::to_string(&ScoreRequest { items: items.clone(), pin_version: None })
+                .expect("encode")
+        };
+        if r % 3 == 0 {
+            body = body.replace('é', "\\u00e9").replace('😀', "\\ud83d\\ude00");
+        }
+        let (status, answer) = post_score(router.addr(), &body);
+        assert_eq!(status, 200, "request {r}: {answer}");
+        let resp: ScoreResponse = serde_json::from_str(&answer).expect("score response");
+        let ics: Vec<ItemComments> = items
+            .iter()
+            .map(|i| ItemComments::from_texts(i.comments.iter().map(String::as_str)))
+            .collect();
+        let sales: Vec<u64> = items.iter().map(|i| i.sales_volume).collect();
+        let expected = offline.detect(&ics, &sales);
+        assert_eq!(resp.verdicts.len(), items.len(), "request {r}");
+        for ((v, item), exp) in resp.verdicts.iter().zip(&items).zip(&expected) {
+            assert_eq!(v.item_id, item.item_id, "request {r}: verdict order");
+            assert_eq!(v.score.to_bits(), exp.score.to_bits(), "request {r}, item {}", v.item_id);
+            assert_eq!(v.is_fraud, exp.is_fraud, "request {r}, item {}", v.item_id);
+            assert_eq!(v.filter, filter_str(exp.filter), "request {r}, item {}", v.item_id);
+        }
     }
     router.shutdown();
     for s in shards {
