@@ -19,7 +19,8 @@
 //! Every invariant is asserted here; the numbers go to the stdout
 //! table. Routed throughput is measured by `perf/` (`score_routed`).
 
-use cats_bench::{percentile, render, setup, Args, ScratchDir};
+use cats_bench::{percentile, render, setup, Args};
+use cats_io::ScratchDir;
 use cats_serve::{
     Router, RouterConfig, ScoreClient, ScoreItem, ShardOpts, ShardProcess, TrafficTrace,
 };

@@ -28,11 +28,12 @@
 //! they were established; at other seeds the frozen lane may barely
 //! decay, leaving nothing to recover.
 
-use cats_bench::{render, setup, Args, ScratchDir};
+use cats_bench::{render, setup, Args};
 use cats_core::{
     CatsPipeline, DetectorConfig, FeatureReferenceSet, FeatureVector, ItemComments,
     PipelineSnapshot,
 };
+use cats_io::ScratchDir;
 use cats_ml::gbt::{GbtConfig, GradientBoostedTrees};
 use cats_ml::Classifier;
 use cats_obs::{DriftConfig, DriftMonitor, DriftVerdict};

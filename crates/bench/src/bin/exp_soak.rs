@@ -22,10 +22,10 @@
 //! * the kill-resumed training run is bit-identical to uninterrupted;
 //! * the restart after a torn primary serves from the mirror.
 
-use cats_bench::{render, setup, Args, ScratchDir};
+use cats_bench::{render, setup, Args};
 use cats_core::pipeline::LabeledItem;
 use cats_core::{CatsPipeline, ItemComments};
-use cats_io::CheckpointStore;
+use cats_io::{CheckpointStore, ScratchDir};
 use cats_serve::chaos;
 use cats_serve::{
     ChaosPlan, ChaosRng, Fault, ModelSlot, ModelWatcher, ScoreClient, ScoreItem, ServeConfig,
@@ -80,15 +80,15 @@ fn resume_phase(scale: f64, seed: u64, ckpt_root: &Path) -> bool {
     let pos_seeds = platform.lexicon().positive_seeds();
     let neg_seeds = platform.lexicon().negative_seeds();
     let train = |store: &CheckpointStore| {
-        CatsPipeline::train_resumable(
+        CatsPipeline::train(
             &corpus,
             &pos_seeds,
             &neg_seeds,
             &sp,
             &sn,
             &labeled,
+            Some(store),
             setup::pipeline_config(),
-            store,
         )
     };
 

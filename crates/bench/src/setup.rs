@@ -13,6 +13,7 @@
 //! The detector is then applied *unchanged* to other platforms (D1,
 //! E-platform) — the cross-platform deployment under evaluation.
 
+use cats_core::pipeline::LabeledItem;
 use cats_core::{
     CatsPipeline, DetectorConfig, ItemComments, PipelineConfig, SemanticAnalyzer, SemanticConfig,
 };
@@ -75,13 +76,7 @@ pub fn train_analyzer_with(
     seed: u64,
     parallelism: cats_par::Parallelism,
 ) -> SemanticAnalyzer {
-    let corpus: Vec<&str> = platform
-        .items()
-        .iter()
-        .flat_map(|i| i.comments.iter().map(|c| c.content.as_str()))
-        .take(MAX_W2V_COMMENTS)
-        .collect();
-    let (sent_pos, sent_neg) = sentiment_corpus(platform.lexicon(), SENTIMENT_REVIEWS, seed);
+    let (corpus, sent_pos, sent_neg) = analyzer_texts(platform, seed);
     let sp: Vec<&str> = sent_pos.iter().map(String::as_str).collect();
     let sn: Vec<&str> = sent_neg.iter().map(String::as_str).collect();
     SemanticAnalyzer::train(
@@ -90,12 +85,22 @@ pub fn train_analyzer_with(
         &platform.lexicon().negative_seeds(),
         &sp,
         &sn,
-        SemanticConfig {
-            word2vec: experiment_w2v(),
-            expansion: ExpansionConfig::default(),
-            parallelism,
-        },
+        SemanticConfig { parallelism, ..pipeline_config().semantic },
     )
+}
+
+/// The analyzer's training texts from a platform: its first
+/// [`MAX_W2V_COMMENTS`] comments for word2vec, and the positive and
+/// negative reviews of [`sentiment_corpus`].
+fn analyzer_texts(platform: &Platform, seed: u64) -> (Vec<&str>, Vec<String>, Vec<String>) {
+    let corpus: Vec<&str> = platform
+        .items()
+        .iter()
+        .flat_map(|i| i.comments.iter().map(|c| c.content.as_str()))
+        .take(MAX_W2V_COMMENTS)
+        .collect();
+    let (sent_pos, sent_neg) = sentiment_corpus(platform.lexicon(), SENTIMENT_REVIEWS, seed);
+    (corpus, sent_pos, sent_neg)
 }
 
 /// The standard trained pipeline: analyzer + detector fit on the given
@@ -109,18 +114,30 @@ pub fn train_pipeline(train_platform: &Platform, seed: u64) -> CatsPipeline {
 pub const DEPLOY_PRECISION_TARGET: f64 = 0.99;
 
 /// [`train_pipeline`] with an explicit detector configuration (e.g. the
-/// deployment threshold).
+/// deployment threshold), whose parallelism the whole training inherits.
 pub fn train_pipeline_with(
     train_platform: &Platform,
     seed: u64,
     config: DetectorConfig,
 ) -> CatsPipeline {
-    let analyzer = train_analyzer(train_platform, seed);
-    let mut detector = cats_core::Detector::with_default_classifier(config);
-    let items: Vec<ItemComments> = train_platform.items().iter().map(item_comments).collect();
-    let labels: Vec<u8> = train_platform.items().iter().map(item_label).collect();
-    detector.fit(&items, &labels, &analyzer);
-    CatsPipeline::from_parts(analyzer, detector)
+    let (corpus, sent_pos, sent_neg) = analyzer_texts(train_platform, seed);
+    let sp: Vec<&str> = sent_pos.iter().map(String::as_str).collect();
+    let sn: Vec<&str> = sent_neg.iter().map(String::as_str).collect();
+    let labeled: Vec<LabeledItem> = train_platform
+        .items()
+        .iter()
+        .map(|it| LabeledItem { comments: item_comments(it), label: item_label(it) })
+        .collect();
+    CatsPipeline::train(
+        &corpus,
+        &train_platform.lexicon().positive_seeds(),
+        &train_platform.lexicon().negative_seeds(),
+        &sp,
+        &sn,
+        &labeled,
+        None,
+        PipelineConfig { detector: config, parallelism: config.parallelism, ..pipeline_config() },
+    )
 }
 
 /// [`train_pipeline`] calibrated to the deployment operating point: the

@@ -61,15 +61,14 @@ pub fn generate(scale: f64, seed: u64, out: &mut dyn std::io::Write) -> Result<u
 /// the number of training items. `threshold`, in `[0, 1]`, sets the
 /// detector's operating point.
 ///
-/// With a `store`, training goes through
-/// [`CatsPipeline::train_resumable`]: word2vec epochs, the finished
-/// analyzer and GBT boosting rounds checkpoint into it, so a rerun after
-/// a kill resumes mid-stage instead of starting over, and the resumed
-/// model is bit-identical to an uninterrupted checkpointed run. All
-/// slots are cleared on success. Without one, it goes through
-/// [`CatsPipeline::train`]. Checkpointed word2vec always runs the
-/// sharded schedule, so the two paths write different (each
-/// deterministic) models.
+/// With a `store`, [`CatsPipeline::train`] checkpoints word2vec
+/// epochs, the finished analyzer and GBT boosting rounds into it, so a
+/// rerun after a kill resumes mid-stage instead of starting over, and the
+/// resumed model is bit-identical to an uninterrupted checkpointed run.
+/// All slots are cleared on success. Checkpointed word2vec always runs
+/// the sharded schedule, which corpora below 4,096 comments otherwise
+/// skip, so on those the two ways write different (each deterministic)
+/// models.
 pub fn train(
     input: &mut dyn BufRead,
     threshold: f64,
@@ -118,14 +117,9 @@ pub fn train(
         detector: DetectorConfig { threshold, ..DetectorConfig::default() },
         ..PipelineConfig::default()
     };
-    let pipeline = match store {
-        Some(store) => CatsPipeline::train_resumable(
-            &corpus, &pos_seeds, &neg_seeds, &pos_refs, &neg_refs, &training, config, store,
-        ),
-        None => CatsPipeline::train(
-            &corpus, &pos_seeds, &neg_seeds, &pos_refs, &neg_refs, &training, None, config,
-        ),
-    };
+    let pipeline = CatsPipeline::train(
+        &corpus, &pos_seeds, &neg_seeds, &pos_refs, &neg_refs, &training, store, config,
+    );
 
     let _snap_span = cats_obs::span!("cats.cli.train.snapshot");
     Ok((pipeline.to_snapshot(), items.len()))
@@ -747,9 +741,8 @@ mod tests {
     fn checkpointed_train_is_deterministic_and_clears_its_slots() {
         let mut data = Vec::new();
         generate(0.004, 9, &mut data).unwrap();
-        let dir = std::env::temp_dir().join(format!("cats_cli_ckpt_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = cats_io::CheckpointStore::open(&dir).unwrap();
+        let dir = cats_io::ScratchDir::new("cats_cli_ckpt");
+        let store = cats_io::CheckpointStore::open(&*dir).unwrap();
         let (a, _) = train(&mut BufReader::new(data.as_slice()), 0.5, 9, Some(&store)).unwrap();
         for slot in ["w2v", "analyzer", "gbt"] {
             assert!(store.load(slot).is_none(), "{slot} slot cleared on success");
@@ -760,7 +753,6 @@ mod tests {
             b.to_io2_bytes().unwrap(),
             "checkpointed training is deterministic"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -793,8 +785,7 @@ mod tests {
         generate(0.004, 9, &mut data).unwrap();
         let (snapshot, _) = train(&mut BufReader::new(data.as_slice()), 0.5, 9, None).unwrap();
         let model = snapshot.to_io2_bytes().unwrap();
-        let dir = std::env::temp_dir().join(format!("cats_cli_lg_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = cats_io::ScratchDir::new("cats_cli_lg");
         let model_path = dir.join("model.cats");
         // A seeded mirror plus a torn primary: exactly the post-crash
         // state the fallback exists for.
@@ -814,7 +805,6 @@ mod tests {
         // Without a checkpoint dir the same torn primary refuses to start.
         let opts = ServeOpts { checkpoint_dir: None, ..opts };
         assert!(start_server(&opts).is_err(), "no mirror, no fallback");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

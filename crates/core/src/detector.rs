@@ -93,6 +93,10 @@ pub struct DetectionReport {
     pub features: Option<FeatureVector>,
 }
 
+/// Boosting rounds between GBT checkpoints in a checkpointed
+/// [`crate::CatsPipeline::train`].
+const GBT_CKPT_EVERY: usize = 10;
+
 /// Builds the training [`Dataset`] the stage-2 classifier fits on: the
 /// finite feature rows of `rows`, with non-finite rows (degraded input
 /// that slipped past upstream cleaning) dropped. This is exactly the
@@ -151,12 +155,6 @@ impl Detector {
         &self.gbt
     }
 
-    /// The stage-2 GBT, for the resumable training path, which fits it
-    /// with round checkpoints.
-    pub(crate) fn gbt_mut(&mut self) -> &mut GradientBoostedTrees {
-        &mut self.gbt
-    }
-
     /// Adjusts the decision threshold — used to move the trained detector
     /// to a different operating point (e.g. one calibrated on a holdout,
     /// or the high-precision deployment point) without refitting.
@@ -212,9 +210,24 @@ impl Detector {
     /// # Panics
     /// Panics if no finite rows remain.
     pub fn fit_features(&mut self, rows: &[FeatureVector], labels: &[u8]) {
+        self.fit_rows(rows, labels, None);
+    }
+
+    /// [`Detector::fit_features`], with the GBT's boosting rounds
+    /// checkpointing into `checkpoint` under the `"gbt"` stage every
+    /// [`GBT_CKPT_EVERY`] rounds when a store is given.
+    fn fit_rows(
+        &mut self,
+        rows: &[FeatureVector],
+        labels: &[u8],
+        checkpoint: Option<&cats_io::CheckpointStore>,
+    ) {
         let data = training_dataset(rows, labels);
         assert!(!data.is_empty(), "no finite training rows");
-        self.gbt.fit(&data);
+        match checkpoint {
+            Some(store) => self.gbt.fit_checkpointed(&data, store, "gbt", GBT_CKPT_EVERY),
+            None => self.gbt.fit(&data),
+        }
     }
 
     /// Trains from labeled items: extracts features (in parallel) then
@@ -227,9 +240,23 @@ impl Detector {
     where
         T: std::borrow::Borrow<ItemComments> + Sync,
     {
+        self.fit_impl(items, labels, analyzer, None);
+    }
+
+    /// [`Detector::fit`], checkpointing the GBT's rounds into
+    /// `checkpoint` when a store is given (see [`Detector::fit_rows`]).
+    pub(crate) fn fit_impl<T>(
+        &mut self,
+        items: &[T],
+        labels: &[u8],
+        analyzer: &SemanticAnalyzer,
+        checkpoint: Option<&cats_io::CheckpointStore>,
+    ) where
+        T: std::borrow::Borrow<ItemComments> + Sync,
+    {
         let _span = cats_obs::span!("cats.core.fit", { items.len() });
         let rows = extract_batch(items, analyzer, self.config.parallelism.threads);
-        self.fit_features(&rows, labels);
+        self.fit_rows(&rows, labels, checkpoint);
     }
 
     /// Runs both stages over a batch, producing one report per item.

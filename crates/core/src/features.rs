@@ -712,11 +712,11 @@ mod tests {
     }
 
     #[test]
-    fn extract_matches_oracle_after_serde_restore() {
+    fn extract_matches_oracle_after_io2_restore() {
         let mut rng = StdRng::seed_from_u64(0xBEEF);
         let a = seeded_analyzer(cats_sentiment::FeatureOrder::UnigramBigram, &mut rng);
-        let b: SemanticAnalyzer =
-            serde_json::from_str(&serde_json::to_string(&a).unwrap()).unwrap();
+        let (lexicon, sentiment) = a.to_io2_sections();
+        let b = SemanticAnalyzer::from_io2_sections(&lexicon, &sentiment).unwrap();
         for case in 0..100 {
             let item = seeded_item(case, &mut rng);
             assert!(same_bits(&extract(&item, &b), &extract_oracle(&item, &a)), "case {case}");

@@ -51,8 +51,18 @@ impl CatsPipeline {
     ///   and the labeled sentiment review corpora;
     /// * the detector's GBT from `training_items`.
     ///
-    /// `_no_classifier` can hold no value, so it is always `None`: stage 2
-    /// is always the GBT. The slot only keeps existing callers compiling.
+    /// With a `checkpoint` store, training survives a kill: word2vec
+    /// epochs checkpoint under `"w2v"`, the finished analyzer under
+    /// `"analyzer"` and GBT boosting rounds under `"gbt"`, so a rerun with
+    /// the same inputs, config and store resumes after the last checkpoint
+    /// instead of starting over. Every stage is deterministic, so the
+    /// resumed model is bit-identical to one trained without
+    /// interruption. Checkpoints from other inputs or configs are detected
+    /// by fingerprint and ignored; all slots are cleared once training
+    /// completes. Checkpointed word2vec always runs its sharded schedule,
+    /// which corpora below the sharding size (4,096 sentences) otherwise
+    /// skip, so on those a store changes the model; on larger corpora it
+    /// only adds resumability.
     #[allow(clippy::too_many_arguments)]
     pub fn train(
         corpus_texts: &[&str],
@@ -61,110 +71,68 @@ impl CatsPipeline {
         sentiment_positive: &[&str],
         sentiment_negative: &[&str],
         training_items: &[LabeledItem],
-        _no_classifier: Option<std::convert::Infallible>,
+        checkpoint: Option<&cats_io::CheckpointStore>,
         config: PipelineConfig,
     ) -> Self {
         let _span = cats_obs::span!("cats.core.pipeline.train", { training_items.len() });
         // The top-level knob wins: stage configs inherit it wholesale.
         let semantic = SemanticConfig { parallelism: config.parallelism, ..config.semantic };
         let detector_cfg = DetectorConfig { parallelism: config.parallelism, ..config.detector };
-        let analyzer = SemanticAnalyzer::train(
-            corpus_texts,
-            positive_seeds,
-            negative_seeds,
-            sentiment_positive,
-            sentiment_negative,
-            semantic,
-        );
-        let mut detector = Detector::with_default_classifier(detector_cfg);
-        let items: Vec<&ItemComments> = training_items.iter().map(|l| &l.comments).collect();
-        let labels: Vec<u8> = training_items.iter().map(|l| l.label).collect();
-        detector.fit(&items, &labels, &analyzer);
-        Self { analyzer, detector }
-    }
+        let fingerprinted = checkpoint.map(|store| {
+            let fp = train_fingerprint(
+                corpus_texts,
+                positive_seeds,
+                negative_seeds,
+                sentiment_positive,
+                sentiment_negative,
+                training_items,
+                &config,
+            );
+            (store, fp)
+        });
 
-    /// [`CatsPipeline::train`] with crash recovery. Long-running stages
-    /// checkpoint into `store` as they complete — word2vec epochs under
-    /// `"w2v"`, the finished analyzer under `"analyzer"`, GBT boosting
-    /// rounds under `"gbt"` — so a rerun with the same inputs, config and
-    /// store resumes after the last checkpoint instead of starting over.
-    /// Every stage is deterministic, so the resumed model is
-    /// bit-identical to one trained without interruption. Checkpoints
-    /// from different inputs or configs are detected by fingerprint and
-    /// ignored; all slots are cleared once training completes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn train_resumable(
-        corpus_texts: &[&str],
-        positive_seeds: &[String],
-        negative_seeds: &[String],
-        sentiment_positive: &[&str],
-        sentiment_negative: &[&str],
-        training_items: &[LabeledItem],
-        config: PipelineConfig,
-        store: &cats_io::CheckpointStore,
-    ) -> Self {
-        let _span = cats_obs::span!("cats.core.pipeline.train", { training_items.len() });
-        let semantic = SemanticConfig { parallelism: config.parallelism, ..config.semantic };
-        let detector_cfg = DetectorConfig { parallelism: config.parallelism, ..config.detector };
-        let fp = train_fingerprint(
-            corpus_texts,
-            positive_seeds,
-            negative_seeds,
-            sentiment_positive,
-            sentiment_negative,
-            training_items,
-            &config,
-        );
-
-        let analyzer = 'analyzer: {
-            if let Some(bytes) = store.load("analyzer") {
-                match serde_json::from_slice::<AnalyzerCheckpoint>(&bytes) {
-                    Ok(c) if c.fingerprint == fp => {
-                        cats_obs::counter("cats.core.train.resumed_stages").inc();
-                        // The finished analyzer supersedes any epoch-level
-                        // word2vec state.
-                        store.clear("w2v");
-                        break 'analyzer c.analyzer;
-                    }
-                    _ => {
-                        cats_obs::counter("cats.core.train.ckpt_rejected").inc();
-                        eprintln!("cats-core: ignoring mismatched analyzer checkpoint");
-                    }
+        let resumed = fingerprinted.and_then(|(store, fp)| {
+            let bytes = store.load("analyzer")?;
+            match decode_analyzer_slot(&bytes) {
+                Ok((saved, analyzer)) if saved == fp => {
+                    cats_obs::counter("cats.core.train.resumed_stages").inc();
+                    // The finished analyzer supersedes any epoch-level
+                    // word2vec state.
+                    store.clear("w2v");
+                    Some(analyzer)
+                }
+                _ => {
+                    cats_obs::counter("cats.core.train.ckpt_rejected").inc();
+                    eprintln!("cats-core: ignoring mismatched analyzer checkpoint");
+                    None
                 }
             }
-            let analyzer = SemanticAnalyzer::train_checkpointed(
+        });
+        let analyzer = resumed.unwrap_or_else(|| {
+            let analyzer = SemanticAnalyzer::train_impl(
                 corpus_texts,
                 positive_seeds,
                 negative_seeds,
                 sentiment_positive,
                 sentiment_negative,
                 semantic,
-                store,
+                checkpoint,
             );
-            let state = AnalyzerCheckpoint { fingerprint: fp, analyzer };
-            match serde_json::to_vec(&state) {
-                Ok(bytes) => {
-                    if let Err(e) = store.save("analyzer", &bytes) {
-                        eprintln!("cats-core: analyzer checkpoint save failed: {e}");
-                    }
+            if let Some((store, fp)) = fingerprinted {
+                if let Err(e) = store.save("analyzer", &encode_analyzer_slot(fp, &analyzer)) {
+                    eprintln!("cats-core: analyzer checkpoint save failed: {e}");
                 }
-                Err(e) => eprintln!("cats-core: analyzer checkpoint encode failed: {e}"),
             }
-            state.analyzer
-        };
+            analyzer
+        });
 
+        let mut detector = Detector::with_default_classifier(detector_cfg);
         let items: Vec<&ItemComments> = training_items.iter().map(|l| &l.comments).collect();
         let labels: Vec<u8> = training_items.iter().map(|l| l.label).collect();
-        // The GBT is fit directly so boosting rounds can checkpoint; the
-        // dataset cleaning is Detector::fit_features's, via
-        // training_dataset.
-        let rows =
-            crate::features::extract_batch(&items, &analyzer, detector_cfg.parallelism.threads);
-        let data = crate::detector::training_dataset(&rows, &labels);
-        assert!(!data.is_empty(), "no finite training rows");
-        let mut detector = Detector::with_default_classifier(detector_cfg);
-        detector.gbt_mut().fit_checkpointed(&data, store, "gbt", GBT_CKPT_EVERY);
-        store.clear_all();
+        detector.fit_impl(&items, &labels, &analyzer, checkpoint);
+        if let Some(store) = checkpoint {
+            store.clear_all();
+        }
         Self { analyzer, detector }
     }
 
@@ -336,16 +304,25 @@ pub fn calibrate_precision_threshold(
     best_fallback.1
 }
 
-/// Boosting rounds between GBT checkpoints in
-/// [`CatsPipeline::train_resumable`].
-const GBT_CKPT_EVERY: usize = 10;
+/// The `"analyzer"` checkpoint slot: the run's [`train_fingerprint`],
+/// then the analyzer's two snapshot sections.
+fn encode_analyzer_slot(fingerprint: u32, analyzer: &SemanticAnalyzer) -> Vec<u8> {
+    let (lexicon, sentiment) = analyzer.to_io2_sections();
+    let mut e = cats_io::io2::Enc::new();
+    e.u32(fingerprint).u8s(&lexicon).u8s(&sentiment);
+    e.into_bytes()
+}
 
-/// Persisted completed-analyzer stage of a resumable training run.
-#[derive(Serialize, Deserialize)]
-struct AnalyzerCheckpoint {
-    /// [`train_fingerprint`] of the run that produced it.
-    fingerprint: u32,
-    analyzer: SemanticAnalyzer,
+/// Decodes [`encode_analyzer_slot`] through the snapshot's own section
+/// decoders.
+fn decode_analyzer_slot(bytes: &[u8]) -> Result<(u32, SemanticAnalyzer), String> {
+    let mut d = cats_io::io2::Dec::new(bytes);
+    let fingerprint = d.u32()?;
+    let (lexicon, sentiment) = (d.u8s()?, d.u8s()?);
+    if d.remaining() != 0 {
+        return Err(format!("{} trailing bytes after analyzer checkpoint", d.remaining()));
+    }
+    Ok((fingerprint, SemanticAnalyzer::from_io2_sections(&lexicon, &sentiment)?))
 }
 
 fn digest_texts(acc: &mut String, label: &str, texts: &[&str]) {
@@ -473,21 +450,7 @@ impl PipelineSnapshot {
         let detector = serde_json::to_vec(&self.detector_config)
             .map_err(|e| PersistError::Format(format!("model: detector config: {e}")))?;
 
-        // Lexicon sets iterate in hash order; sort for a canonical layout.
-        let lex = self.analyzer.lexicon();
-        let mut pos: Vec<&str> = lex.positive_words().collect();
-        let mut neg: Vec<&str> = lex.negative_words().collect();
-        pos.sort_unstable();
-        neg.sort_unstable();
-        let mut lexicon = Enc::new();
-        lexicon.u64(pos.len() as u64);
-        for w in pos {
-            lexicon.str(w);
-        }
-        lexicon.u64(neg.len() as u64);
-        for w in neg {
-            lexicon.str(w);
-        }
+        let (lexicon, sentiment) = self.analyzer.to_io2_sections();
 
         let gbt =
             self.gbt.to_io2_bytes().map_err(|e| PersistError::Format(format!("model: {e}")))?;
@@ -495,8 +458,8 @@ impl PipelineSnapshot {
         let mut b = Io2Builder::new();
         b.section("meta", meta.into_bytes());
         b.section("detector", detector);
-        b.section("lexicon", lexicon.into_bytes());
-        b.section("sentiment", self.analyzer.sentiment().to_io2_payload());
+        b.section("lexicon", lexicon);
+        b.section("sentiment", sentiment);
         b.section("gbt", gbt);
         // Optional trailing section: emitted only when present, so
         // reference-less snapshots keep their exact pre-drift byte
@@ -542,26 +505,8 @@ impl PipelineSnapshot {
         DetectorConfig::check_threshold(detector_config.threshold)
             .map_err(|e| PersistError::Format(format!("model: detector {e}")))?;
 
-        let mut lex = Dec::new(file.require("lexicon", "snapshot")?);
-        let read_words = |d: &mut Dec<'_>| -> Result<Vec<String>, String> {
-            let n = d.u64()? as usize;
-            // Every word costs at least its 4-byte length prefix: reject a
-            // lying count before trusting it for an allocation.
-            if n.checked_mul(4).map_or(true, |b| b > d.remaining()) {
-                return Err(format!("lexicon word count {n} exceeds section size"));
-            }
-            let mut words = Vec::with_capacity(n);
-            for _ in 0..n {
-                words.push(d.str()?);
-            }
-            Ok(words)
-        };
-        let positive = read_words(&mut lex).map_err(fmt)?;
-        let negative = read_words(&mut lex).map_err(fmt)?;
-        trailing(&lex, "lexicon")?;
-        let lexicon = cats_text::Lexicon::new(positive, negative);
-
-        let sentiment = cats_sentiment::SentimentModel::from_io2_payload(
+        let analyzer = SemanticAnalyzer::from_io2_sections(
+            file.require("lexicon", "snapshot")?,
             file.require("sentiment", "snapshot")?,
         )
         .map_err(fmt)?;
@@ -606,13 +551,7 @@ impl PipelineSnapshot {
             None => None,
         };
 
-        Ok(Self {
-            format_version,
-            analyzer: SemanticAnalyzer::from_parts(lexicon, sentiment),
-            detector_config,
-            gbt,
-            feature_reference,
-        })
+        Ok(Self { format_version, analyzer, detector_config, gbt, feature_reference })
     }
 
     /// Writes the snapshot to `path` atomically (temp file + fsync +
@@ -702,24 +641,43 @@ mod tests {
         ItemComments::from_texts([format!("shu hao0 kan w{i}").as_str(), "dongxi cha0 le dian"])
     }
 
-    fn trained() -> CatsPipeline {
-        let texts = corpus();
+    const SENT_POS: [&str; 2] = ["hao0 zan0 bang0 hao1", "zan1 hao2 bang1"];
+    const SENT_NEG: [&str; 2] = ["cha0 lan0 huai0", "lan1 cha2 huai2"];
+
+    /// 30 fraud and 30 normal items.
+    fn training_items() -> Vec<LabeledItem> {
+        (0..30)
+            .flat_map(|i| {
+                [
+                    LabeledItem { comments: fraud_item(i), label: 1 },
+                    LabeledItem { comments: normal_item(i), label: 0 },
+                ]
+            })
+            .collect()
+    }
+
+    /// Trains on `texts` and [`training_items`] with the test seeds and
+    /// sentiment reviews.
+    fn train_on(
+        texts: &[String],
+        checkpoint: Option<&cats_io::CheckpointStore>,
+        config: PipelineConfig,
+    ) -> CatsPipeline {
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let mut training = Vec::new();
-        for i in 0..30 {
-            training.push(LabeledItem { comments: fraud_item(i), label: 1 });
-            training.push(LabeledItem { comments: normal_item(i), label: 0 });
-        }
         CatsPipeline::train(
             &refs,
             &["hao0".to_string()],
             &["cha0".to_string()],
-            &["hao0 zan0 bang0 hao1", "zan1 hao2 bang1"],
-            &["cha0 lan0 huai0", "lan1 cha2 huai2"],
-            &training,
-            None,
-            PipelineConfig::default(),
+            &SENT_POS,
+            &SENT_NEG,
+            &training_items(),
+            checkpoint,
+            config,
         )
+    }
+
+    fn trained() -> CatsPipeline {
+        train_on(&corpus(), None, PipelineConfig::default())
     }
 
     #[test]
@@ -752,7 +710,7 @@ mod tests {
 
     /// The 60 items `trained()` fits on, with their labels.
     fn training_rows() -> (Vec<ItemComments>, Vec<u8>) {
-        (0..30).flat_map(|i| [(fraud_item(i), 1), (normal_item(i), 0)]).unzip()
+        training_items().into_iter().map(|l| (l.comments, l.label)).unzip()
     }
 
     #[test]
@@ -1016,41 +974,16 @@ mod tests {
         assert!(!reports[0].is_fraud);
     }
 
-    /// An analyzer in a canonical form: its sorted lexicon words and the
-    /// sentiment model's IO2 payload. (serde_json of the `HashSet`- and
-    /// `HashMap`-backed parts follows each instance's hash order.)
-    fn canonical_analyzer(a: &SemanticAnalyzer) -> (Vec<&str>, Vec<&str>, Vec<u8>) {
-        let mut pos: Vec<&str> = a.lexicon().positive_words().collect();
-        let mut neg: Vec<&str> = a.lexicon().negative_words().collect();
-        pos.sort_unstable();
-        neg.sort_unstable();
-        (pos, neg, a.sentiment().to_io2_payload())
+    fn snapshot_bytes(p: &CatsPipeline) -> Vec<u8> {
+        p.to_snapshot().to_io2_bytes().unwrap()
     }
 
     #[test]
-    fn train_resumable_survives_kill_and_matches_uninterrupted() {
+    fn checkpointed_train_survives_kill_and_matches_uninterrupted() {
         let texts = corpus();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let mut training = Vec::new();
-        for i in 0..30 {
-            training.push(LabeledItem { comments: fraud_item(i), label: 1 });
-            training.push(LabeledItem { comments: normal_item(i), label: 0 });
-        }
-        let dir = std::env::temp_dir().join(format!("cats_pipeline_ckpt_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = cats_io::CheckpointStore::open(&dir).expect("open checkpoint store");
-        let run = |store: &cats_io::CheckpointStore| {
-            CatsPipeline::train_resumable(
-                &refs,
-                &["hao0".to_string()],
-                &["cha0".to_string()],
-                &["hao0 zan0 bang0 hao1", "zan1 hao2 bang1"],
-                &["cha0 lan0 huai0", "lan1 cha2 huai2"],
-                &training,
-                PipelineConfig::default(),
-                store,
-            )
-        };
+        let dir = cats_io::ScratchDir::new("cats_pipeline_ckpt");
+        let store = cats_io::CheckpointStore::open(&*dir).expect("open checkpoint store");
+        let run = |store| train_on(&texts, Some(store), PipelineConfig::default());
 
         let uninterrupted = run(&store);
 
@@ -1062,8 +995,8 @@ mod tests {
         let resumed = run(&store);
 
         assert_eq!(
-            canonical_analyzer(uninterrupted.analyzer()),
-            canonical_analyzer(resumed.analyzer()),
+            uninterrupted.analyzer().to_io2_sections(),
+            resumed.analyzer().to_io2_sections(),
             "resumed analyzer must be byte-identical"
         );
         let items = vec![fraud_item(77), normal_item(77), fraud_item(5)];
@@ -1077,5 +1010,88 @@ mod tests {
         assert!(store.load("w2v").is_none());
         assert!(store.load("analyzer").is_none());
         assert!(store.load("gbt").is_none());
+    }
+
+    #[test]
+    fn analyzer_slot_resumes_when_intact_and_is_ignored_when_damaged_or_foreign() {
+        let texts = corpus();
+        let config = PipelineConfig::default();
+        let dir = cats_io::ScratchDir::new("cats_pipeline_analyzer_slot");
+        let store = cats_io::CheckpointStore::open(&*dir).expect("open checkpoint store");
+        let uninterrupted = train_on(&texts, Some(&store), config);
+        let want = snapshot_bytes(&uninterrupted);
+
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let fp = train_fingerprint(
+            &refs,
+            &["hao0".to_string()],
+            &["cha0".to_string()],
+            &SENT_POS,
+            &SENT_NEG,
+            &training_items(),
+            &config,
+        );
+        let slot = encode_analyzer_slot(fp, uninterrupted.analyzer());
+        let resumed = cats_obs::counter("cats.core.train.resumed_stages");
+        let rejected = cats_obs::counter("cats.core.train.ckpt_rejected");
+
+        // The intact slot is taken as the finished analyzer stage.
+        store.save("analyzer", &slot).unwrap();
+        let before = resumed.get();
+        assert_eq!(snapshot_bytes(&train_on(&texts, Some(&store), config)), want);
+        assert!(resumed.get() > before, "an intact analyzer slot must be resumed");
+
+        // Damage that leaves the store's own container intact: only the
+        // slot's decoder or its fingerprint can catch it.
+        let mut flipped_len = slot.clone();
+        flipped_len[4 + 7] ^= 0x80; // top bit of the lexicon section length
+        let mut flipped_count = slot.clone();
+        flipped_count[4 + 8 + 7] ^= 0x80; // top bit of the positive word count
+        let mut foreign = slot.clone();
+        foreign[0] ^= 1;
+        let cases = [
+            ("truncated", slot[..slot.len() - 3].to_vec()),
+            ("section length flipped", flipped_len),
+            ("word count flipped", flipped_count),
+            ("foreign fingerprint", foreign),
+        ];
+        for (name, bytes) in cases {
+            store.save("analyzer", &bytes).unwrap();
+            let before = rejected.get();
+            let got = train_on(&texts, Some(&store), config);
+            assert!(rejected.get() > before, "{name}: slot must be rejected");
+            assert_eq!(
+                snapshot_bytes(&got),
+                want,
+                "{name}: model differs from an uninterrupted run"
+            );
+            assert!(store.load("analyzer").is_none(), "{name}: store drained");
+        }
+    }
+
+    #[test]
+    fn a_store_only_adds_resumability_on_a_sharded_corpus() {
+        // 4,200 sentences: at or above word2vec's sharding size, where the
+        // checkpointed and plain schedules are the same.
+        let mut texts = corpus();
+        while texts.len() < 4_200 {
+            texts.extend_from_within(..750.min(4_200 - texts.len()));
+        }
+        let config = PipelineConfig {
+            semantic: SemanticConfig {
+                word2vec: cats_embedding::Word2VecConfig {
+                    dim: 16,
+                    epochs: 2,
+                    ..Default::default()
+                },
+                ..SemanticConfig::default()
+            },
+            ..PipelineConfig::default()
+        };
+        let dir = cats_io::ScratchDir::new("cats_pipeline_sharded");
+        let store = cats_io::CheckpointStore::open(&*dir).expect("open checkpoint store");
+        let plain = train_on(&texts, None, config);
+        let checkpointed = train_on(&texts, Some(&store), config);
+        assert_eq!(snapshot_bytes(&plain), snapshot_bytes(&checkpointed));
     }
 }

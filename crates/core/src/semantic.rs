@@ -8,10 +8,10 @@
 //! [`SemanticAnalyzer`]'s lexicon/sentiment accessors.
 
 use cats_embedding::{expand_lexicon, Embedding, ExpansionConfig, Word2VecConfig, Word2VecTrainer};
+use cats_io::io2::{Dec, Enc};
 use cats_par::Parallelism;
 use cats_sentiment::SentimentModel;
 use cats_text::{Corpus, Lexicon, Segmenter, WhitespaceSegmenter};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Configuration of semantic-analyzer training.
@@ -30,29 +30,15 @@ pub struct SemanticConfig {
 ///
 /// The word2vec embedding itself is training-time machinery; what the
 /// feature extractor needs at run time is the lexicon it produced and the
-/// sentiment scorer, which is also what gets serialized. Every
-/// constructor also builds the [`TokenTable`] the extractor reads; it is
-/// derived from the two parts and never serialized.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(from = "AnalyzerParts")]
+/// sentiment scorer, which is also what gets persisted (see
+/// [`SemanticAnalyzer::to_io2_sections`]). Every constructor also builds
+/// the [`TokenTable`] the extractor reads; it is derived from the two
+/// parts and never persisted.
+#[derive(Debug, Clone)]
 pub struct SemanticAnalyzer {
     lexicon: Lexicon,
     sentiment: SentimentModel,
-    #[serde(skip)]
     table: TokenTable,
-}
-
-/// The serialized form of a [`SemanticAnalyzer`].
-#[derive(Deserialize)]
-struct AnalyzerParts {
-    lexicon: Lexicon,
-    sentiment: SentimentModel,
-}
-
-impl From<AnalyzerParts> for SemanticAnalyzer {
-    fn from(parts: AnalyzerParts) -> Self {
-        Self::from_parts(parts.lexicon, parts.sentiment)
-    }
 }
 
 /// What the feature extractor needs to know about one token.
@@ -134,35 +120,14 @@ impl SemanticAnalyzer {
         )
     }
 
-    /// [`SemanticAnalyzer::train`] with crash recovery: the word2vec
-    /// epochs — by far the dominant training cost — checkpoint into
-    /// `store` under the `"w2v"` stage, so a rerun after a crash resumes
-    /// from the last completed epoch. Checkpointed word2vec always runs
-    /// the deterministic sharded schedule (see
-    /// [`Word2VecTrainer::train_checkpointed`]); everything downstream of
-    /// the embedding is deterministic, so an interrupted-and-resumed
-    /// analyzer is bit-identical to an uninterrupted checkpointed one.
-    pub fn train_checkpointed(
-        comment_texts: &[&str],
-        positive_seeds: &[String],
-        negative_seeds: &[String],
-        sentiment_positive: &[&str],
-        sentiment_negative: &[&str],
-        config: SemanticConfig,
-        store: &cats_io::CheckpointStore,
-    ) -> Self {
-        Self::train_impl(
-            comment_texts,
-            positive_seeds,
-            negative_seeds,
-            sentiment_positive,
-            sentiment_negative,
-            config,
-            Some(store),
-        )
-    }
-
-    fn train_impl(
+    /// [`SemanticAnalyzer::train`], with the word2vec epochs — by far the
+    /// dominant cost — checkpointing into `ckpt` under the `"w2v"` stage
+    /// when a store is given. Checkpointed word2vec always runs the
+    /// deterministic sharded schedule (see
+    /// [`Word2VecTrainer::train_checkpointed`]), so on corpora below its
+    /// sharding size a store changes the embedding; everything
+    /// downstream of it is deterministic.
+    pub(crate) fn train_impl(
         comment_texts: &[&str],
         positive_seeds: &[String],
         negative_seeds: &[String],
@@ -222,6 +187,49 @@ impl SemanticAnalyzer {
     pub fn from_parts(lexicon: Lexicon, sentiment: SentimentModel) -> Self {
         let table = TokenTable::build(&lexicon, &sentiment);
         Self { lexicon, sentiment, table }
+    }
+
+    /// The analyzer as its two `CATS-IO2` sections, `(lexicon,
+    /// sentiment)`: the lexicon as sorted length-prefixed word lists
+    /// (the sets iterate in hash order; sorting makes the layout
+    /// canonical) and the sentiment model's flat payload. Pipeline
+    /// snapshots and training checkpoints both store these.
+    pub(crate) fn to_io2_sections(&self) -> (Vec<u8>, Vec<u8>) {
+        let mut pos: Vec<&str> = self.lexicon.positive_words().collect();
+        let mut neg: Vec<&str> = self.lexicon.negative_words().collect();
+        pos.sort_unstable();
+        neg.sort_unstable();
+        let mut lexicon = Enc::new();
+        for words in [pos, neg] {
+            lexicon.u64(words.len() as u64);
+            for w in words {
+                lexicon.str(w);
+            }
+        }
+        (lexicon.into_bytes(), self.sentiment.to_io2_payload())
+    }
+
+    /// Decodes [`SemanticAnalyzer::to_io2_sections`]. Every word count is
+    /// checked against the bytes present before it sizes an allocation,
+    /// and the lexicon section must be consumed exactly.
+    pub(crate) fn from_io2_sections(lexicon: &[u8], sentiment: &[u8]) -> Result<Self, String> {
+        let mut d = Dec::new(lexicon);
+        let mut read_words = || -> Result<Vec<String>, String> {
+            let n = d.u64()? as usize;
+            // Every word costs at least its 4-byte length prefix: reject a
+            // lying count before trusting it for an allocation.
+            if n.checked_mul(4).map_or(true, |b| b > d.remaining()) {
+                return Err(format!("lexicon word count {n} exceeds section size"));
+            }
+            (0..n).map(|_| d.str()).collect()
+        };
+        let positive = read_words()?;
+        let negative = read_words()?;
+        if d.remaining() != 0 {
+            return Err(format!("{} trailing bytes in lexicon section", d.remaining()));
+        }
+        let sentiment = SentimentModel::from_io2_payload(sentiment)?;
+        Ok(Self::from_parts(Lexicon::new(positive, negative), sentiment))
     }
 
     /// The expanded positive/negative lexicon.
@@ -309,15 +317,24 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_roundtrip_via_serde() {
+    fn io2_sections_roundtrip_canonically() {
         let a = analyzer();
-        let json = serde_json::to_string(&a).unwrap();
-        let b: SemanticAnalyzer = serde_json::from_str(&json).unwrap();
+        let (lexicon, sentiment) = a.to_io2_sections();
+        let b = SemanticAnalyzer::from_io2_sections(&lexicon, &sentiment).unwrap();
+        assert_eq!(b.to_io2_sections(), (lexicon.clone(), sentiment.clone()));
         assert_eq!(b.lexicon().positive_len(), a.lexicon().positive_len());
         let seg = WhitespaceSegmenter;
         assert_eq!(
             a.sentiment().score_text("great0", &seg),
             b.sentiment().score_text("great0", &seg)
         );
+        // A lying word count, a cut word and a trailing byte all fail.
+        let mut lying = lexicon.clone();
+        lying[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut extended = lexicon.clone();
+        extended.push(0);
+        for bad in [lying, lexicon[..lexicon.len() - 1].to_vec(), extended] {
+            assert!(SemanticAnalyzer::from_io2_sections(&bad, &sentiment).is_err());
+        }
     }
 }

@@ -917,17 +917,19 @@ mod tests {
         Word2VecTrainer::new(Word2VecConfig { dim: 0, ..Word2VecConfig::default() });
     }
 
-    fn ckpt_store(name: &str) -> cats_io::CheckpointStore {
-        let dir = std::env::temp_dir().join(format!("cats_w2v_{}_{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        cats_io::CheckpointStore::open(&dir).expect("open checkpoint store")
+    /// A checkpoint store in a scratch directory removed when the test
+    /// ends, passing or not.
+    fn ckpt_store(name: &str) -> (cats_io::ScratchDir, cats_io::CheckpointStore) {
+        let dir = cats_io::ScratchDir::new(&format!("cats_w2v_{name}"));
+        let store = cats_io::CheckpointStore::open(&*dir).expect("open checkpoint store");
+        (dir, store)
     }
 
     #[test]
     fn checkpointed_is_deterministic_and_clears_its_slot() {
         let corpus = clustered_corpus(60);
         let cfg = Word2VecConfig { parallelism: Parallelism::serial(), ..small_cfg() };
-        let store = ckpt_store("clean");
+        let (_dir, store) = ckpt_store("clean");
         let baseline = Word2VecTrainer::new(cfg).train_checkpointed(&corpus, &store, "w2v");
         // Slot must be gone after a completed run.
         assert!(store.load("w2v").is_none(), "checkpoint cleared on completion");
@@ -942,7 +944,7 @@ mod tests {
         let corpus = clustered_corpus(60);
         let cfg = Word2VecConfig { parallelism: Parallelism::serial(), ..small_cfg() };
         let trainer = Word2VecTrainer::new(cfg);
-        let store = ckpt_store("kill");
+        let (_dir, store) = ckpt_store("kill");
 
         let uninterrupted = trainer.train_checkpointed(&corpus, &store, "w2v");
         assert!(store.load("w2v").is_none());
@@ -975,7 +977,7 @@ mod tests {
     fn mismatched_checkpoint_is_ignored() {
         let corpus = clustered_corpus(60);
         let cfg = Word2VecConfig { parallelism: Parallelism::serial(), ..small_cfg() };
-        let store = ckpt_store("mismatch");
+        let (_dir, store) = ckpt_store("mismatch");
 
         // Leave a checkpoint behind from a run with a different seed.
         let other = Word2VecConfig { seed: 999, ..cfg };
@@ -986,7 +988,7 @@ mod tests {
         assert!(store.load("w2v").is_some());
 
         let clean = Word2VecTrainer::new(cfg).train_checkpointed(&corpus, &store, "w2v");
-        let store2 = ckpt_store("mismatch_fresh");
+        let (_dir2, store2) = ckpt_store("mismatch_fresh");
         let fresh = Word2VecTrainer::new(cfg).train_checkpointed(&corpus, &store2, "w2v");
         assert_eq!(
             clean.vector("apple"),

@@ -270,9 +270,8 @@ fn assert_bits_equal(got: &[f32], want: &[f32], case: &str) {
 #[test]
 fn trainer_matches_the_cell_kernel_oracle_bitwise() {
     let mut rng = StdRng::seed_from_u64(0x05EE_D0F0_AC1E);
-    let store_dir = std::env::temp_dir().join(format!("cats_w2v_oracle_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let store = cats_io::CheckpointStore::open(&store_dir).expect("open checkpoint store");
+    let store_dir = cats_io::ScratchDir::new("cats_w2v_oracle");
+    let store = cats_io::CheckpointStore::open(&*store_dir).expect("open checkpoint store");
     let mut compared = 0;
     for case in 0..208 {
         // Every eighth case is big enough to run the sharded schedule
@@ -320,7 +319,6 @@ fn trainer_matches_the_cell_kernel_oracle_bitwise() {
             assert_bits_equal(&trainer.train(&corpus).vectors, &want, &label);
         }
     }
-    let _ = std::fs::remove_dir_all(&store_dir);
     assert!(compared >= 200, "only {compared} cases compared");
 }
 

@@ -22,6 +22,10 @@
 //!    reads as absent, because rename atomicity guarantees the previous
 //!    good generation was replaced wholesale or not at all).
 //!
+//! [`ScratchDir`] is the temporary directory the benches and the
+//! checkpoint tests write into; it is removed on drop, so also when an
+//! assertion unwinds.
+//!
 //! Zero third-party dependencies; the CRC32 (IEEE/zlib polynomial) is
 //! hand-rolled with a compile-time table.
 
@@ -156,6 +160,34 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), IoError> {
     Ok(())
 }
 
+/// A directory `temp_dir()/<prefix>_<pid>`, removed with its contents
+/// when dropped — also when an assertion unwinds past it.
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// Creates the directory (and any missing parents).
+    pub fn new(prefix: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("{prefix}_{}", std::process::id()));
+        fs::create_dir_all(&dir)
+            .unwrap_or_else(|e| panic!("create scratch dir {}: {e}", dir.display()));
+        Self(dir)
+    }
+}
+
+impl std::ops::Deref for ScratchDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Named checkpoint slots backed by `CATS-IO2` atomic files — one file
 /// per stage under one directory. Because every [`CheckpointStore::save`]
 /// replaces the slot file atomically, the slot always holds the *latest
@@ -260,8 +292,17 @@ impl CheckpointStore {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("cats_io_{}_{name}", std::process::id()))
+    #[test]
+    fn scratch_dir_is_removed_when_a_test_panics() {
+        let mut path = PathBuf::new();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let dir = ScratchDir::new("cats_io_scratch_test");
+            fs::write(dir.join("f"), b"x").unwrap();
+            path = dir.to_path_buf();
+            panic!("a failed assertion");
+        }));
+        assert!(unwound.is_err());
+        assert!(!path.exists(), "a panic must remove the scratch dir too");
     }
 
     #[test]
@@ -274,7 +315,8 @@ mod tests {
 
     #[test]
     fn atomic_write_replaces_existing_contents() {
-        let path = tmp("replace");
+        let scratch = ScratchDir::new("cats_io_replace");
+        let path = scratch.join("file");
         atomic_write(&path, b"first generation").unwrap();
         atomic_write(&path, b"second generation").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"second generation");
@@ -290,13 +332,12 @@ mod tests {
             })
             .count();
         assert_eq!(leftovers, 0, "temp file leaked");
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn checkpoint_store_saves_loads_and_clears() {
-        let dir = tmp("store");
-        let store = CheckpointStore::open(&dir).unwrap();
+        let dir = ScratchDir::new("cats_io_store");
+        let store = CheckpointStore::open(&*dir).unwrap();
         assert!(store.load("w2v").is_none(), "missing slot reads as absent");
         store.save("w2v", b"epoch 3 state").unwrap();
         assert_eq!(store.load("w2v").unwrap(), b"epoch 3 state");
@@ -318,13 +359,12 @@ mod tests {
         store.save("b", b"2").unwrap();
         store.clear_all();
         assert!(store.load("a").is_none() && store.load("b").is_none());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn kill_switch_panics_after_nth_save() {
-        let dir = tmp("kill");
-        let store = CheckpointStore::open(&dir).unwrap();
+        let dir = ScratchDir::new("cats_io_kill");
+        let store = CheckpointStore::open(&*dir).unwrap();
         store.kill_after_saves(2);
         store.save("s", b"one").unwrap();
         let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -335,6 +375,5 @@ mod tests {
         // like a real crash after fsync+rename.
         assert_eq!(store.load("s").unwrap(), b"two");
         store.save("s", b"three").unwrap();
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -243,6 +243,31 @@ impl GradientBoostedTrees {
             flat,
         })
     }
+
+    /// A mid-fit checkpoint slot: the run's fingerprint, the boosting
+    /// rounds completed (loop iterations, which exceed the tree count
+    /// when a subsampled round came up empty), and the model so far in
+    /// its own [`GradientBoostedTrees::to_io2_bytes`] encoding.
+    fn encode_checkpoint(&self, fingerprint: u32, rounds_done: usize) -> Result<Vec<u8>, String> {
+        let mut e = cats_io::io2::Enc::new();
+        e.u32(fingerprint).u64(rounds_done as u64).u8s(&self.to_io2_bytes()?);
+        Ok(e.into_bytes())
+    }
+
+    /// Decodes [`GradientBoostedTrees::encode_checkpoint`]. The model goes
+    /// through [`GradientBoostedTrees::from_io2_bytes`], a loaded model's
+    /// validation, so a damaged or crafted slot is rejected before any
+    /// descent.
+    fn decode_checkpoint(bytes: &[u8]) -> Result<(u32, usize, Self), String> {
+        let mut d = cats_io::io2::Dec::new(bytes);
+        let fingerprint = d.u32()?;
+        let rounds_done = usize::try_from(d.u64()?).map_err(|e| e.to_string())?;
+        let model = Self::from_io2_bytes(&d.u8s()?)?;
+        if d.remaining() != 0 {
+            return Err(format!("{} trailing bytes after gbt checkpoint", d.remaining()));
+        }
+        Ok((fingerprint, rounds_done, model))
+    }
 }
 
 /// JSON head of the binary GBT encoding — everything except the forest.
@@ -384,16 +409,16 @@ impl GradientBoostedTrees {
         let mut start_round = 0usize;
         if let (Some((store, stage, _)), Some(fp)) = (ckpt, fingerprint) {
             if let Some(bytes) = store.load(stage) {
-                match GbtCheckpoint::decode(&bytes, data.n_features()) {
-                    Ok((c, flat))
-                        if c.fingerprint == fp
-                            && c.rounds_done <= cfg.n_trees
-                            && flat.n_trees() <= c.rounds_done =>
+                match Self::decode_checkpoint(&bytes) {
+                    Ok((saved_fp, rounds_done, saved))
+                        if saved_fp == fp
+                            && saved.split_counts.len() == data.n_features()
+                            && rounds_done <= cfg.n_trees
+                            && saved.flat.n_trees() <= rounds_done =>
                     {
-                        self.flat = flat;
-                        self.base_score = c.base_score;
-                        self.split_counts = c.split_counts;
-                        self.gain_sums = c.gain_sums;
+                        // `self.config` stays: the fingerprint pins every
+                        // field of the saved one except parallelism.
+                        *self = Self { config: self.config, ..saved };
                         for t in 0..self.flat.n_trees() {
                             let flat = &self.flat;
                             let deltas = cats_par::map_indexed(row_par, n, |i| {
@@ -403,7 +428,7 @@ impl GradientBoostedTrees {
                                 *m += d;
                             }
                         }
-                        for _ in 0..c.rounds_done {
+                        for _ in 0..rounds_done {
                             if cfg.subsample < 1.0 {
                                 for _ in 0..n {
                                     let _ = rng.random::<f64>();
@@ -415,7 +440,7 @@ impl GradientBoostedTrees {
                                 }
                             }
                         }
-                        start_round = c.rounds_done;
+                        start_round = rounds_done;
                         cats_obs::counter("cats.ml.gbt.resumed_rounds").add(start_round as u64);
                     }
                     _ => {
@@ -508,14 +533,7 @@ impl GradientBoostedTrees {
             if let (Some((store, stage, every)), Some(fp)) = (ckpt, fingerprint) {
                 let done = round + 1;
                 if done % every == 0 && done < cfg.n_trees {
-                    let state = GbtCheckpoint {
-                        fingerprint: fp,
-                        rounds_done: done,
-                        base_score: self.base_score,
-                        split_counts: self.split_counts.clone(),
-                        gain_sums: self.gain_sums.clone(),
-                    };
-                    match state.encode(&self.flat) {
+                    match self.encode_checkpoint(fp, done) {
                         // A failed save costs the resume point, never the
                         // fit; the next cadence point retries.
                         Ok(bytes) => {
@@ -536,47 +554,6 @@ impl GradientBoostedTrees {
         if let Some((store, stage, _)) = ckpt {
             store.clear(stage);
         }
-    }
-}
-
-/// Persisted mid-fit state of a checkpointed boosting run: this JSON
-/// head followed by the forest so far as [`FlatForest::to_bytes`].
-#[derive(Serialize, Deserialize)]
-struct GbtCheckpoint {
-    /// CRC over the config, dataset shape and labels; a mismatch means
-    /// the checkpoint belongs to some other run and must be ignored.
-    fingerprint: u32,
-    /// Boosting rounds fully completed — loop iterations, which can
-    /// exceed the tree count when a subsampled round came up empty.
-    rounds_done: usize,
-    base_score: f64,
-    split_counts: Vec<u64>,
-    gain_sums: Vec<f64>,
-}
-
-impl GbtCheckpoint {
-    fn encode(&self, flat: &FlatForest) -> Result<Vec<u8>, String> {
-        let head = serde_json::to_string(self).map_err(|e| e.to_string())?;
-        let mut e = cats_io::io2::Enc::new();
-        e.str(&head).u8s(&flat.to_bytes());
-        Ok(e.into_bytes())
-    }
-
-    /// Decodes a checkpoint for a dataset of `n_features` features. The
-    /// forest goes through the same validation as a loaded model, so a
-    /// damaged or crafted checkpoint is rejected before any descent.
-    fn decode(bytes: &[u8], n_features: usize) -> Result<(Self, FlatForest), String> {
-        let mut d = cats_io::io2::Dec::new(bytes);
-        let head: Self = serde_json::from_str(&d.str()?).map_err(|e| e.to_string())?;
-        let flat = FlatForest::from_bytes(&d.u8s()?)?;
-        if d.remaining() != 0 {
-            return Err(format!("{} trailing bytes after gbt checkpoint", d.remaining()));
-        }
-        if head.split_counts.len() != n_features || head.gain_sums.len() != n_features {
-            return Err("checkpoint importances do not match the feature count".into());
-        }
-        check_features(&flat, n_features)?;
-        Ok((head, flat))
     }
 }
 
@@ -1253,7 +1230,7 @@ mod tests {
         assert!(kept < 200, "early stopping must truncate: {kept}");
         assert_matches_oracle(&early, &d, "early-stopped");
 
-        let store = ckpt_store("oracle");
+        let (_dir, store) = ckpt_store("oracle");
         store.kill_after_saves(2);
         let mut doomed = GradientBoostedTrees::new(cfg_ckpt());
         let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1312,10 +1289,12 @@ mod tests {
         assert!(GradientBoostedTrees::from_io2_bytes(&extended).is_err());
     }
 
-    fn ckpt_store(name: &str) -> cats_io::CheckpointStore {
-        let dir = std::env::temp_dir().join(format!("cats_gbt_{}_{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        cats_io::CheckpointStore::open(&dir).expect("open checkpoint store")
+    /// A checkpoint store in a scratch directory removed when the test
+    /// ends, passing or not.
+    fn ckpt_store(name: &str) -> (cats_io::ScratchDir, cats_io::CheckpointStore) {
+        let dir = cats_io::ScratchDir::new(&format!("cats_gbt_{name}"));
+        let store = cats_io::CheckpointStore::open(&*dir).expect("open checkpoint store");
+        (dir, store)
     }
 
     /// Subsampled + column-sampled config: exercises both RNG replay
@@ -1327,7 +1306,7 @@ mod tests {
     #[test]
     fn killed_fit_resumes_bit_identical() {
         let d = separable(100);
-        let store = ckpt_store("kill");
+        let (_dir, store) = ckpt_store("kill");
 
         let mut uninterrupted = GradientBoostedTrees::new(cfg_ckpt());
         uninterrupted.fit_checkpointed(&d, &store, "gbt", 5);
@@ -1364,7 +1343,7 @@ mod tests {
     #[test]
     fn mismatched_checkpoint_is_ignored() {
         let d = separable(100);
-        let store = ckpt_store("mismatch");
+        let (_dir, store) = ckpt_store("mismatch");
 
         // Leave a checkpoint from a fit with a different seed behind.
         store.kill_after_saves(1);
@@ -1395,7 +1374,9 @@ mod tests {
 
         // One split whose left child is itself (descent would never
         // end), one on a feature past the row's end (descent would index
-        // out of bounds). Both carry the run's true fingerprint.
+        // out of bounds), and that one again inside a model claiming one
+        // feature more than the data has. All carry the run's true
+        // fingerprint.
         let mut self_link = FlatForest::new();
         let root = self_link.push_root();
         let l = self_link.alloc_children();
@@ -1405,16 +1386,19 @@ mod tests {
         let mut past_end = self_link.clone();
         past_end.set_split(root, d.n_features() as u32, 0.5, l);
 
-        for (name, forest) in [("self_link", self_link), ("past_end", past_end)] {
-            let store = ckpt_store(name);
-            let state = GbtCheckpoint {
-                fingerprint: ckpt_fingerprint(&cfg_ckpt(), &d),
-                rounds_done: 5,
-                base_score: 0.0,
-                split_counts: vec![0; d.n_features()],
-                gain_sums: vec![0.0; d.n_features()],
-            };
-            store.save("gbt", &state.encode(&forest).unwrap()).unwrap();
+        let nf = d.n_features();
+        for (name, forest, width) in [
+            ("self_link", self_link, nf),
+            ("past_end", past_end.clone(), nf),
+            ("past_end_wide", past_end, nf + 1),
+        ] {
+            let (_dir, store) = ckpt_store(name);
+            let mut state = GradientBoostedTrees::new(cfg_ckpt());
+            state.flat = forest;
+            state.split_counts = vec![0; width];
+            state.gain_sums = vec![0.0; width];
+            let slot = state.encode_checkpoint(ckpt_fingerprint(&cfg_ckpt(), &d), 5).unwrap();
+            store.save("gbt", &slot).unwrap();
             let before = cats_obs::counter("cats.ml.gbt.ckpt_rejected").get();
             let mut m = GradientBoostedTrees::new(cfg_ckpt());
             m.fit_checkpointed(&d, &store, "gbt", 5);

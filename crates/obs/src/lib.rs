@@ -8,9 +8,8 @@
 //!    Prometheus-text exporter. (`cats-serve` serves a snapshot as JSON
 //!    through its serde `WireSnapshot`.)
 //! 2. **Spans** ([`span`]): `let _g = span!("cats.core.detect");`
-//!    scoped timers with parent–child nesting, wall/self time, an
-//!    items payload, and a bounded structured event stream fed from
-//!    per-thread buffers.
+//!    scoped timers with parent–child nesting, wall/self time and an
+//!    items payload, folded into per-stage aggregates.
 //! 3. **Run profiles** ([`profile`]): a [`StageTimer`] diffs registry
 //!    snapshots around a unit of work and emits a [`RunProfile`] — the
 //!    JSON artifact behind `cats-cli --metrics-out` and `exp_scaling`'s
@@ -45,5 +44,5 @@ pub use metrics::{
     StageSnapshot,
 };
 pub use profile::{RunProfile, StageProfile, StageTimer};
-pub use span::{dropped_events, flush_thread, take_events, SpanEvent, StageStats};
+pub use span::StageStats;
 pub use sync::lock_recover;

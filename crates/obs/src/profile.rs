@@ -7,8 +7,8 @@
 //! at start and diffs at finish, so concurrent earlier runs don't leak
 //! into the profile as long as runs don't overlap in time.
 
+use crate::clock;
 use crate::metrics::{fmt_f64, global, json_escape, Snapshot};
-use crate::{clock, span};
 
 /// Aggregate of one span name inside a run.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,7 +202,6 @@ impl StageTimer {
     }
 
     pub fn finish(self) -> RunProfile {
-        span::flush_thread();
         let wall = clock::now_micros().saturating_sub(self.start_micros);
         let diff = global().snapshot().diff(&self.base);
         RunProfile::from_diff(&self.label, wall, &diff)

@@ -2,10 +2,8 @@
 //!
 //! `let _g = span!("cats.core.detect");` opens a span that closes when
 //! the guard drops. Each completed span records into the process-global
-//! registry's per-name [`StageStats`] (count, total/self time, a
-//! duration histogram, an items tally) and appends a [`SpanEvent`] to a
-//! per-thread buffer that is flushed in batches into a bounded global
-//! event stream.
+//! registry's per-name [`StageStats`]: count, total/self time, a
+//! duration histogram and an items tally.
 //!
 //! Nesting is tracked per thread: a child's wall time is subtracted
 //! from its parent's *self* time, so `self_micros` across all stages
@@ -17,15 +15,8 @@ use crate::clock;
 use crate::metrics::{global, Histogram, StageSnapshot};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Flush the thread-local event buffer at this size.
-const THREAD_BUF: usize = 64;
-/// Bound on the global event stream; past this, events are counted as
-/// dropped instead of buffered (aggregates in [`StageStats`] still
-/// record everything).
-const MAX_EVENTS: usize = 1 << 16;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Aggregate statistics for one span name. All-atomic: recording from
 /// worker threads is lock-free.
@@ -68,96 +59,17 @@ impl StageStats {
     }
 }
 
-/// One completed span occurrence in the structured event stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Span name (`cats.<crate>.<stage>` — a `'static` literal at every
-    /// call site).
-    pub name: &'static str,
-    /// Observability thread ordinal (order of first span per thread).
-    pub thread: usize,
-    /// Nesting depth on the recording thread (0 = root).
-    pub depth: usize,
-    /// Observer time at span open.
-    pub start_micros: u64,
-    /// Wall duration (observer time).
-    pub wall_micros: u64,
-    /// Wall minus directly nested child spans.
-    pub self_micros: u64,
-    /// Optional items-processed payload (`span!(name, { n })`).
-    pub items: u64,
-}
-
-struct EventSink {
-    events: Mutex<Vec<SpanEvent>>,
-    dropped: AtomicU64,
-}
-
-fn sink() -> &'static EventSink {
-    static SINK: OnceLock<EventSink> = OnceLock::new();
-    SINK.get_or_init(|| EventSink { events: Mutex::new(Vec::new()), dropped: AtomicU64::new(0) })
-}
-
-/// Drains and returns all flushed events (order: flush order, i.e.
-/// batched per thread).
-pub fn take_events() -> Vec<SpanEvent> {
-    std::mem::take(&mut *sink().events.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
-}
-
-/// How many events were discarded because the global stream was full.
-pub fn dropped_events() -> u64 {
-    sink().dropped.load(Ordering::Relaxed)
-}
-
-/// Flushes the calling thread's event buffer into the global stream.
-/// Called automatically at buffer capacity and on thread exit;
-/// [`crate::StageTimer::finish`] calls it for the finishing thread.
-pub fn flush_thread() {
-    CTX.with(|c| flush_buf(&mut c.borrow_mut().buf));
-}
-
-fn flush_buf(buf: &mut Vec<SpanEvent>) {
-    if buf.is_empty() {
-        return;
-    }
-    let mut events = sink().events.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let room = MAX_EVENTS.saturating_sub(events.len());
-    if buf.len() > room {
-        sink().dropped.fetch_add((buf.len() - room) as u64, Ordering::Relaxed);
-        buf.truncate(room);
-    }
-    events.append(buf);
-}
-
+/// One thread's span state.
+#[derive(Default)]
 struct ThreadCtx {
     /// Per-open-span accumulator of direct children's wall time.
     stack: Vec<u64>,
-    buf: Vec<SpanEvent>,
-    ordinal: usize,
     /// Per-thread cache of registry handles so span exit stays lock-free.
     stats: HashMap<&'static str, Arc<StageStats>>,
 }
 
-impl ThreadCtx {
-    fn new() -> Self {
-        static NEXT_ORDINAL: AtomicUsize = AtomicUsize::new(0);
-        Self {
-            stack: Vec::new(),
-            buf: Vec::with_capacity(THREAD_BUF),
-            ordinal: NEXT_ORDINAL.fetch_add(1, Ordering::Relaxed),
-            stats: HashMap::new(),
-        }
-    }
-}
-
-impl Drop for ThreadCtx {
-    fn drop(&mut self) {
-        flush_buf(&mut self.buf);
-    }
-}
-
 thread_local! {
-    static CTX: RefCell<ThreadCtx> = RefCell::new(ThreadCtx::new());
+    static CTX: RefCell<ThreadCtx> = RefCell::new(ThreadCtx::default());
 }
 
 /// RAII span guard: the span closes (and records) when this drops.
@@ -193,32 +105,17 @@ impl Drop for SpanGuard {
             return;
         };
         let wall = obs.now_micros().saturating_sub(self.start);
-        let (event, stats) = CTX.with(|c| {
+        let (self_micros, stats) = CTX.with(|c| {
             let mut c = c.borrow_mut();
             let child = c.stack.pop().unwrap_or(0);
-            let depth = c.stack.len();
             if let Some(parent) = c.stack.last_mut() {
                 *parent += wall;
             }
-            let self_micros = wall.saturating_sub(child);
-            let event = SpanEvent {
-                name: self.name,
-                thread: c.ordinal,
-                depth,
-                start_micros: self.start,
-                wall_micros: wall,
-                self_micros,
-                items: self.items,
-            };
-            c.buf.push(event.clone());
-            if c.buf.len() >= THREAD_BUF {
-                flush_buf(&mut c.buf);
-            }
             let stats =
                 c.stats.entry(self.name).or_insert_with(|| global().stage(self.name)).clone();
-            (event, stats)
+            (wall.saturating_sub(child), stats)
         });
-        stats.record(event.wall_micros, event.self_micros, event.items);
+        stats.record(wall, self_micros, self.items);
     }
 }
 
@@ -249,7 +146,7 @@ pub(crate) mod tests {
 
     /// Span tests mutate the process-global observer/registry, so they
     /// serialize on one lock and measure via snapshot diffs.
-    pub(crate) static OBS_LOCK: Mutex<()> = Mutex::new(());
+    pub(crate) static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn nesting_attributes_self_time_to_the_right_span() {
@@ -267,7 +164,6 @@ pub(crate) mod tests {
             }
             sim.advance_micros(3);
         }
-        flush_thread();
 
         let d = global().snapshot().diff(&before);
         let outer = &d.stages["cats.obs.test.outer"];
@@ -290,28 +186,10 @@ pub(crate) mod tests {
         {
             let _span = crate::span!("cats.obs.test.noop");
         }
-        flush_thread();
         let d = global().snapshot().diff(&before);
         assert!(
             d.stages.get("cats.obs.test.noop").map_or(true, |s| s.count == 0),
             "noop observer must suppress spans"
-        );
-        set_observer(Arc::new(WallObserver::new()));
-    }
-
-    #[test]
-    fn events_flow_through_the_stream() {
-        let _g = OBS_LOCK.lock().unwrap();
-        set_observer(Arc::new(SimObserver::new()));
-        take_events();
-        {
-            let _span = crate::span!("cats.obs.test.event");
-        }
-        flush_thread();
-        let events = take_events();
-        assert!(
-            events.iter().any(|e| e.name == "cats.obs.test.event"),
-            "event recorded: {events:?}"
         );
         set_observer(Arc::new(WallObserver::new()));
     }

@@ -2,7 +2,7 @@
 //!
 //! A poisoned `Mutex` means some thread panicked while holding it — not
 //! that the protected data is unusable. For every lock in this workspace
-//! the guarded state is either append-only (metric maps, event buffers)
+//! the guarded state is either append-only (metric maps)
 //! or replaced wholesale under the lock (the serving model slot), so the
 //! correct reaction to poison is to *recover and continue*: propagating
 //! the panic would cascade one worker's failure into every thread that

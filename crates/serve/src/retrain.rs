@@ -185,8 +185,8 @@ impl RetrainController {
     /// drift monitor's verdict (`DriftVerdict::Critical`); anything less
     /// is a no-op. `trainer` builds a candidate snapshot from the
     /// training slice of the matured window: either a whole pipeline,
-    /// trained by `CatsPipeline::train_resumable` over a checkpoint store
-    /// (so a crash mid-retrain resumes instead of restarting) and taken
+    /// trained by `CatsPipeline::train` over a checkpoint store (so a
+    /// crash mid-retrain resumes instead of restarting) and taken
     /// by `CatsPipeline::to_snapshot`, or, as `exp_drift` does, a GBT
     /// refit under the incumbent's analyzer and passed to
     /// `CatsPipeline::snapshot`.
