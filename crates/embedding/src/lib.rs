@@ -12,9 +12,9 @@
 //! * [`expand`] — iterative k-nearest-neighbour expansion from seed words
 //!   (§II-A2: "search the k-nearest neighbors of the seeds, followed by
 //!   iteratively search the k-nearest neighbors of these neighbors").
-//! * [`simd`] — branch-lite 8-wide f32 kernels (dot, fused dot+norms)
-//!   behind the SGNS inner product and cosine similarity, with a fixed
-//!   lane-fold order for deterministic reductions.
+//! * [`simd`] — branch-lite 8-wide f32 kernels (dot, squared norm, fused
+//!   dot+norms) behind the SGNS inner product and cosine similarity, with
+//!   a fixed lane-fold order for deterministic reductions.
 //!
 //! No external ML dependency: the trainer is a few hundred lines of dense
 //! `Vec<f32>` arithmetic.

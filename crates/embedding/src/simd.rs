@@ -50,6 +50,13 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     fold8(acc) + tail
 }
 
+/// Squared norm `a·a`, added in the lane order of [`dot_norms`], so it
+/// equals either squared norm that kernel returns for `a`, to the bit.
+#[inline]
+pub fn norm_sq(a: &[f32]) -> f32 {
+    dot(a, a)
+}
+
 /// Fused dot product and squared norms: `(a·b, a·a, b·b)` in one pass.
 /// This is the cosine-similarity kernel — one traversal instead of three.
 ///
@@ -146,6 +153,8 @@ mod tests {
             assert_eq!(d.to_bits(), lane_order_dot(&a, &b).to_bits(), "n={n}");
             assert_eq!(na.to_bits(), lane_order_dot(&a, &a).to_bits(), "n={n}");
             assert_eq!(nb.to_bits(), lane_order_dot(&b, &b).to_bits(), "n={n}");
+            assert_eq!(norm_sq(&a).to_bits(), na.to_bits(), "n={n}");
+            assert_eq!(norm_sq(&b).to_bits(), nb.to_bits(), "n={n}");
         }
     }
 

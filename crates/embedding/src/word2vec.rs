@@ -25,7 +25,12 @@
 //!
 //! Both run one SGNS step, `sgns_update`, on row slices of the weight
 //! matrices, and draw negatives from the unigram table stored as runs
-//! (`UnigramSampler`).
+//! with a bucket index (`UnigramSampler`), so a draw searches one or two
+//! runs, not all of them.
+//!
+//! The trained [`Embedding`] caches each row's squared norm, so its k-NN
+//! queries ([`Embedding::nearest_to_vector`], what seed expansion calls
+//! per frontier word) take one dot product per row.
 
 use cats_par::Parallelism;
 use cats_text::{Corpus, TokenId, Vocab};
@@ -92,17 +97,23 @@ const SIGMOID_BOUND: f32 = 6.0;
 const SIGMOID_TABLE_SIZE: usize = 512;
 
 /// A trained embedding: one input vector per vocabulary word.
-/// Serializable, so a model trained once on a large corpus can ship with
-/// a deployed detector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Embedding {
     dim: usize,
     vectors: Vec<f32>, // vocab_len × dim, row-major
     vocab_words: Vec<String>,
     trained: Vec<bool>, // false for words below min_count
+    /// Squared norm of each row ([`crate::simd::norm_sq`]), computed once
+    /// so a neighbour query reads each row for its dot product alone.
+    norms_sq: Vec<f32>,
 }
 
 impl Embedding {
+    fn new(dim: usize, vectors: Vec<f32>, vocab_words: Vec<String>, trained: Vec<bool>) -> Self {
+        let norms_sq = vectors.chunks_exact(dim).map(crate::simd::norm_sq).collect();
+        Self { dim, vectors, vocab_words, trained, norms_sq }
+    }
+
     /// Embedding dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
@@ -141,26 +152,40 @@ impl Embedding {
         Some(self.nearest_to_vector(v, k, Some(word)))
     }
 
-    /// The `k` nearest trained words to an arbitrary query vector.
+    /// The `k` nearest trained words to an arbitrary query vector, other
+    /// than `exclude`: `(word, cosine similarity)` pairs, most similar
+    /// first, ties in vocabulary order.
+    ///
+    /// Each similarity equals [`cosine`]`(query, row)` to the bit: the
+    /// row's squared norm is cached and the query's is computed once, in
+    /// the same lane order as the fused kernel, so each row costs one
+    /// [`crate::simd::dot`]. The best `k` are kept by insertion — a row
+    /// goes after every kept row at least as similar — which is the
+    /// stable descending sort of all rows cut to `k`.
     pub fn nearest_to_vector(
         &self,
         query: &[f32],
         k: usize,
         exclude: Option<&str>,
     ) -> Vec<(&str, f32)> {
-        let mut scored: Vec<(&str, f32)> = self
-            .vocab_words
-            .iter()
-            .enumerate()
-            .filter(|(i, w)| self.trained[*i] && Some(w.as_str()) != exclude)
-            .map(|(i, w)| {
-                let row = &self.vectors[i * self.dim..(i + 1) * self.dim];
-                (w.as_str(), cosine(query, row))
-            })
-            .collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        scored.truncate(k);
-        scored
+        let mut best: Vec<(&str, f32)> = Vec::with_capacity(k.min(self.len()) + 1);
+        if k == 0 {
+            return best;
+        }
+        let nq = crate::simd::norm_sq(query);
+        let rows = self.vectors.chunks_exact(self.dim).zip(&self.norms_sq);
+        for ((w, &trained), (row, &nr)) in self.vocab_words.iter().zip(&self.trained).zip(rows) {
+            if !trained || Some(w.as_str()) == exclude {
+                continue;
+            }
+            let sim = cosine_from(crate::simd::dot(query, row), nq, nr);
+            let at = best.partition_point(|&(_, s)| s >= sim);
+            if at < k {
+                best.insert(at, (w.as_str(), sim));
+                best.truncate(k);
+            }
+        }
+        best
     }
 
     /// Solves the classic analogy query `a − b + c ≈ ?`: returns the `k`
@@ -193,6 +218,12 @@ impl Embedding {
 /// lane-fold reduction order that depends only on the vector length.
 pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     let (dot, na, nb) = crate::simd::dot_norms(a, b);
+    cosine_from(dot, na, nb)
+}
+
+/// Cosine from a dot product and the two squared norms.
+#[inline]
+fn cosine_from(dot: f32, na: f32, nb: f32) -> f32 {
     if na == 0.0 || nb == 0.0 {
         return 0.0;
     }
@@ -247,12 +278,7 @@ impl Word2VecTrainer {
         let vocab = corpus.vocab();
         let n = vocab.len();
         if n == 0 {
-            return Embedding {
-                dim: cfg.dim,
-                vectors: Vec::new(),
-                vocab_words: Vec::new(),
-                trained: Vec::new(),
-            };
+            return Embedding::new(cfg.dim, Vec::new(), Vec::new(), Vec::new());
         }
         let mut rng = StdRng::seed_from_u64(cfg.seed);
 
@@ -288,7 +314,7 @@ impl Word2VecTrainer {
 
         let vocab_words: Vec<String> =
             (0..n).map(|i| vocab.word(TokenId(i as u32)).unwrap_or_default().to_owned()).collect();
-        Embedding { dim: cfg.dim, vectors: syn0, vocab_words, trained }
+        Embedding::new(cfg.dim, syn0, vocab_words, trained)
     }
 }
 
@@ -644,16 +670,27 @@ fn sgns_update(
 /// implementation, stored as runs. The table maps each of
 /// `UNIGRAM_TABLE_SIZE` slots to a word and never decreases along the
 /// slots, so it is one run per sampled word: run `r` covers the slots
-/// below `ends[r]` not covered by run `r − 1`, and holds `words[r]`. A few
-/// KB instead of an 8 MB table, and a draw reads the same word.
+/// below `ends[r]` not covered by run `r − 1`, and holds `words[r]`.
+///
+/// A bucket index finds a slot's run without searching them all:
+/// `bucket_first[b]` is the run holding slot `b · BUCKET_SLOTS` (the last
+/// slot for the final entry), so a slot of bucket `b` lies in one of the
+/// runs `bucket_first[b] ..= bucket_first[b + 1]` — usually one or two.
+/// Runs plus index take a few KB plus 16 KB instead of an 8 MB table, and
+/// a draw reads the same word as the table.
 struct UnigramSampler {
     ends: Vec<u32>,
     words: Vec<u32>,
+    bucket_first: Vec<u32>,
 }
+
+/// log2 of the slots per bucket of `UnigramSampler`'s index.
+const BUCKET_BITS: u32 = 8;
+const BUCKET_SLOTS: usize = 1 << BUCKET_BITS;
 
 impl UnigramSampler {
     /// Builds the runs over trained words with the table's cumulative
-    /// walk, without materialising the table.
+    /// walk, without materialising the table, then the bucket index.
     fn new(vocab: &Vocab, trained: &[bool]) -> Self {
         let count = |i: usize| vocab.count(TokenId(i as u32)) as f64;
         let mut weights: Vec<f64> =
@@ -680,13 +717,21 @@ impl UnigramSampler {
                 words.push(slot_word as u32);
             }
         }
-        Self { ends, words }
+        let run_of = |slot: usize| ends.partition_point(|&end| end as usize <= slot) as u32;
+        let bucket_first = (0..=UNIGRAM_TABLE_SIZE / BUCKET_SLOTS)
+            .map(|b| run_of((b * BUCKET_SLOTS).min(UNIGRAM_TABLE_SIZE - 1)))
+            .collect();
+        Self { ends, words, bucket_first }
     }
 
-    /// The word in table slot `slot < UNIGRAM_TABLE_SIZE`.
+    /// The word in table slot `slot < UNIGRAM_TABLE_SIZE`: a binary search
+    /// over only the runs that overlap the slot's bucket.
     #[inline]
     fn word_at(&self, slot: usize) -> usize {
-        self.words[self.ends.partition_point(|&end| end as usize <= slot)] as usize
+        let b = slot >> BUCKET_BITS;
+        let (lo, hi) = (self.bucket_first[b] as usize, self.bucket_first[b + 1] as usize);
+        let run = lo + self.ends[lo..hi].partition_point(|&end| end as usize <= slot);
+        self.words[run] as usize
     }
 
     /// Whether `word` is the only word in the table.
@@ -899,16 +944,6 @@ mod tests {
             assert!(s.is_finite());
         }
         assert!(emb.analogy("apple", "nonexistent", "bolt", 3).is_none());
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_vectors() {
-        let corpus = clustered_corpus(30);
-        let emb = Word2VecTrainer::new(small_cfg()).train(&corpus);
-        let json = serde_json::to_string(&emb).unwrap();
-        let back: Embedding = serde_json::from_str(&json).unwrap();
-        assert_eq!(emb.vector("apple"), back.vector("apple"));
-        assert_eq!(emb.nearest("bolt", 2).unwrap(), back.nearest("bolt", 2).unwrap());
     }
 
     #[test]

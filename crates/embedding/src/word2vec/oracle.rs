@@ -7,6 +7,10 @@
 //! serial and sharded schedules run the same loops as the trainer's. A
 //! seeded `StdRng` runner generates corpora and configs and requires
 //! every trained vector of the trainer to equal the oracle's bit for bit.
+//!
+//! Two more oracles keep the lookups that replaced them honest: the full
+//! table for the sampler's bucket index, slot by slot, and the
+//! collect-and-sort neighbour query for `Embedding::nearest_to_vector`.
 
 use super::*;
 use rand::Rng;
@@ -322,6 +326,15 @@ fn trainer_matches_the_cell_kernel_oracle_bitwise() {
     assert!(compared >= 200, "only {compared} cases compared");
 }
 
+/// Every slot of `sampler` reads the word the full table holds there.
+fn assert_sampler_matches(sampler: &UnigramSampler, table: &[usize], case: &str) {
+    assert_eq!(sampler.ends.last().map(|&e| e as usize), Some(UNIGRAM_TABLE_SIZE), "{case}");
+    assert_eq!(sampler.bucket_first.len(), UNIGRAM_TABLE_SIZE / BUCKET_SLOTS + 1, "{case}");
+    for (slot, &want) in table.iter().enumerate() {
+        assert_eq!(sampler.word_at(slot), want, "{case}, slot {slot}");
+    }
+}
+
 #[test]
 fn run_sampler_matches_the_full_table() {
     let mut rng = StdRng::seed_from_u64(0x7AB1E);
@@ -336,17 +349,96 @@ fn run_sampler_matches_the_full_table() {
             (0..vocab.len()).map(|i| vocab.count(TokenId(i as u32)) >= min_count).collect();
         let table = build_unigram_table(vocab, &trained);
         let sampler = UnigramSampler::new(vocab, &trained);
-        assert_eq!(sampler.ends.last().map(|&e| e as usize), Some(UNIGRAM_TABLE_SIZE));
-        for &end in &sampler.ends {
-            for slot in [end as usize - 1, end as usize, end as usize + 1] {
-                if slot < UNIGRAM_TABLE_SIZE {
-                    assert_eq!(sampler.word_at(slot), table[slot], "case {case}, slot {slot}");
+        assert_sampler_matches(&sampler, &table, &format!("case {case}"));
+    }
+    // A one-word vocabulary, trained and untrained, and one trained word
+    // behind untrained ones: tables of one or two runs.
+    let mut corpus = Corpus::new();
+    corpus.push_tokens(&["solo".to_string()]);
+    for trained in [[true], [false]] {
+        let table = build_unigram_table(corpus.vocab(), &trained);
+        let sampler = UnigramSampler::new(corpus.vocab(), &trained);
+        assert!(sampler.holds_only(0));
+        assert_sampler_matches(&sampler, &table, &format!("one word, trained {trained:?}"));
+    }
+    let corpus = gen_corpus(&mut rng, 50, 20, 10);
+    let trained: Vec<bool> = (0..corpus.vocab().len()).map(|i| i == 7).collect();
+    let table = build_unigram_table(corpus.vocab(), &trained);
+    let sampler = UnigramSampler::new(corpus.vocab(), &trained);
+    assert_sampler_matches(&sampler, &table, "one trained word of many");
+}
+
+/// `nearest_to_vector` as it was before the cached norms: every kept row
+/// scored with the fused `cosine`, then a stable descending sort cut to
+/// `k`.
+fn nearest_by_sort<'a>(
+    emb: &'a Embedding,
+    query: &[f32],
+    k: usize,
+    exclude: Option<&str>,
+) -> Vec<(&'a str, f32)> {
+    let mut scored: Vec<(&str, f32)> = emb
+        .vocab_words
+        .iter()
+        .enumerate()
+        .filter(|(i, w)| emb.trained[*i] && Some(w.as_str()) != exclude)
+        .map(|(i, w)| (w.as_str(), cosine(query, &emb.vectors[i * emb.dim..(i + 1) * emb.dim])))
+        .collect();
+    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    scored.truncate(k);
+    scored
+}
+
+/// A generated embedding of `rows` rows: integer-valued entries in
+/// `-2..=2` (so distinct rows tie often) or uniform floats, with some
+/// rows zero, some copies of an earlier row and some untrained.
+fn gen_embedding(rng: &mut StdRng, rows: usize, dim: usize) -> Embedding {
+    let small_ints = rng.random_range(0..2usize) == 0;
+    let mut vectors: Vec<f32> = Vec::with_capacity(rows * dim);
+    for r in 0..rows {
+        match rng.random_range(0..8usize) {
+            0 => vectors.resize(vectors.len() + dim, 0.0),
+            1 if r > 0 => {
+                let src = rng.random_range(0..r) * dim;
+                vectors.extend_from_within(src..src + dim);
+            }
+            _ if small_ints => {
+                vectors.extend((0..dim).map(|_| rng.random_range(0..5usize) as f32 - 2.0));
+            }
+            _ => vectors.extend((0..dim).map(|_| rng.random::<f32>() * 2.0 - 1.0)),
+        }
+    }
+    let words = (0..rows).map(|r| format!("w{r}")).collect();
+    let trained = (0..rows).map(|_| rng.random_range(0..6usize) != 0).collect();
+    Embedding::new(dim, vectors, words, trained)
+}
+
+#[test]
+fn nearest_to_vector_matches_the_sorting_oracle_bitwise() {
+    let mut rng = StdRng::seed_from_u64(0x04EA_2E57);
+    for case in 0..400 {
+        let (rows, dim) = (rng.random_range(0..60usize), 1 + rng.random_range(0..40usize));
+        let emb = gen_embedding(&mut rng, rows, dim);
+        // Queries: a row of the embedding, a zero vector, a fresh vector.
+        let mut queries = vec![vec![0.0f32; dim]];
+        queries.push((0..dim).map(|_| rng.random::<f32>() * 2.0 - 1.0).collect());
+        if rows > 0 {
+            let r = rng.random_range(0..rows);
+            queries.push(emb.vectors[r * dim..(r + 1) * dim].to_vec());
+        }
+        for query in &queries {
+            for k in [0, 1, 3, 10, rows, rows + 5] {
+                let excluded = format!("w{}", rng.random_range(0..rows.max(1)));
+                for exclude in [None, Some(excluded.as_str())] {
+                    let got = emb.nearest_to_vector(query, k, exclude);
+                    let want = nearest_by_sort(&emb, query, k, exclude);
+                    let label = format!("case {case}, k {k}, exclude {exclude:?}");
+                    assert_eq!(got.len(), want.len(), "{label}");
+                    for ((gw, gs), (ww, ws)) in got.iter().zip(&want) {
+                        assert_eq!((gw, gs.to_bits()), (ww, ws.to_bits()), "{label}");
+                    }
                 }
             }
-        }
-        for _ in 0..20_000 {
-            let slot = rng.random_range(0..UNIGRAM_TABLE_SIZE);
-            assert_eq!(sampler.word_at(slot), table[slot], "case {case}, slot {slot}");
         }
     }
 }

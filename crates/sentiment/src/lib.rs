@@ -19,7 +19,6 @@
 
 use cats_io::io2::{Dec, Enc};
 use cats_text::{Segmenter, TokenId, Vocab};
-use serde::{Deserialize, Serialize};
 
 /// Laplace smoothing pseudo-count.
 const ALPHA: f64 = 1.0;
@@ -78,7 +77,7 @@ impl LaneSums {
 }
 
 /// Feature order used by the model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FeatureOrder {
     /// Bag of single tokens (SnowNLP's model).
     #[default]
@@ -88,14 +87,9 @@ pub enum FeatureOrder {
     UnigramBigram,
 }
 
-fn default_order() -> FeatureOrder {
-    FeatureOrder::Unigram
-}
-
 /// A trained multinomial Naive Bayes sentiment scorer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SentimentModel {
-    #[serde(default = "default_order")]
     order: FeatureOrder,
     vocab: Vocab,
     /// log P(token | positive), indexed by `TokenId`.
@@ -566,8 +560,8 @@ mod tests {
             for threads in [1usize, 2, 8] {
                 let par = cats_par::Parallelism::with_threads(threads);
                 let parallel = SentimentModel::train_with_order_par(&pos, &neg, order, par);
-                // The IO2 payload is canonical (vocabulary in id order);
-                // serde_json of the `HashMap`-backed vocabulary is not.
+                // The IO2 payload is canonical (vocabulary in id order),
+                // so equal payloads mean equal models.
                 assert_eq!(
                     serial.to_io2_payload(),
                     parallel.to_io2_payload(),
@@ -666,14 +660,5 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(SentimentModel::from_io2_payload(&long).unwrap_err().contains("trailing"));
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_scores() {
-        let m = model();
-        let json = serde_json::to_string(&m).unwrap();
-        let m2: SentimentModel = serde_json::from_str(&json).unwrap();
-        let toks: Vec<String> = "good bad great".split_whitespace().map(String::from).collect();
-        assert_eq!(m.score(&toks), m2.score(&toks));
     }
 }

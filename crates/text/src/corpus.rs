@@ -37,8 +37,10 @@ impl Corpus {
 
     /// Adds a batch of raw texts, segmenting them in parallel.
     ///
-    /// Segmentation (the CPU-heavy part) fans out across worker threads;
-    /// interning stays serial in input order, so the resulting vocabulary
+    /// Segmentation (the CPU-heavy part) fans out across worker threads
+    /// with [`Segmenter::segment_borrowed`], so a token is a slice of its
+    /// text and is copied only when the vocabulary first meets it.
+    /// Interning stays serial in input order, so the resulting vocabulary
     /// ids and sentence order are identical to repeated
     /// [`Corpus::push_text`] calls at any thread count.
     pub fn push_texts<S, T>(&mut self, texts: &[T], segmenter: &S, par: cats_par::Parallelism)
@@ -46,10 +48,14 @@ impl Corpus {
         S: Segmenter + Sync,
         T: AsRef<str> + Sync,
     {
-        let segmented: Vec<Vec<String>> =
-            cats_par::map_chunked(par, texts, |t| segmenter.segment(t.as_ref()));
+        let segmented: Vec<Vec<&str>> = cats_par::map_indexed(par, texts.len(), |i| {
+            let mut toks = Vec::new();
+            segmenter.segment_borrowed(texts[i].as_ref(), &mut toks);
+            toks
+        });
         for toks in &segmented {
-            self.push_tokens(toks);
+            let ids = self.vocab.intern_all(toks);
+            self.sentences.push(ids);
         }
     }
 
@@ -83,6 +89,8 @@ impl Corpus {
 mod tests {
     use super::*;
     use crate::segment::WhitespaceSegmenter;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn corpus_interns_shared_words_once() {
@@ -97,21 +105,52 @@ mod tests {
         assert_eq!(s[0][2], s[1][0]);
     }
 
+    /// `texts` pushed in parallel at 1, 2 and 8 threads give the corpus
+    /// of one `push_text` (owned tokens) per text: the same sentences and
+    /// the same vocabulary, ids and counts.
+    fn assert_push_texts_matches_serial(texts: &[String]) {
+        let mut serial = Corpus::new();
+        for t in texts {
+            serial.push_text(t, &WhitespaceSegmenter);
+        }
+        let entries = |c: &Corpus| -> Vec<(TokenId, String, u64)> {
+            c.vocab().iter().map(|(id, w, n)| (id, w.to_owned(), n)).collect()
+        };
+        for threads in [1usize, 2, 8] {
+            let mut par = Corpus::new();
+            let p = cats_par::Parallelism::with_threads(threads);
+            par.push_texts(texts, &WhitespaceSegmenter, p);
+            assert_eq!(par.sentences(), serial.sentences(), "threads={threads}");
+            assert_eq!(entries(&par), entries(&serial), "threads={threads}");
+        }
+    }
+
     #[test]
     fn push_texts_matches_serial_push_text() {
         let texts: Vec<String> =
             (0..64).map(|i| format!("hao w{} ping hao cha{}", i % 7, i % 3)).collect();
-        let mut serial = Corpus::new();
-        for t in &texts {
-            serial.push_text(t, &WhitespaceSegmenter);
-        }
-        for threads in [1usize, 2, 8] {
-            let mut par = Corpus::new();
-            let p = cats_par::Parallelism::with_threads(threads);
-            par.push_texts(&texts, &WhitespaceSegmenter, p);
-            assert_eq!(par.sentences(), serial.sentences(), "threads={threads}");
-            assert_eq!(par.vocab().len(), serial.vocab().len());
-        }
+        assert_push_texts_matches_serial(&texts);
+    }
+
+    #[test]
+    fn push_texts_matches_serial_push_text_on_generated_texts() {
+        // Words that recur across texts, ASCII and CJK punctuation, runs
+        // of ASCII and non-ASCII whitespace, and multi-byte letters.
+        const PIECES: &[&str] = &[
+            "hao", "cha", "ping", "很好", "é", "🙂", " ", "  ", "\t", "\u{3000}", "\u{a0}", "!",
+            "?!", "。", "，", "…", "wow!!", "",
+        ];
+        let mut rng = StdRng::seed_from_u64(0x00C0_2905);
+        let texts: Vec<String> = (0..300)
+            .map(|i| match i % 25 {
+                0 => String::new(),
+                1 => "  \t ".to_string(),
+                _ => (0..rng.random_range(0..24usize))
+                    .map(|_| PIECES[rng.random_range(0..PIECES.len())])
+                    .collect(),
+            })
+            .collect();
+        assert_push_texts_matches_serial(&texts);
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! helpers used by the word-level features; the expansion algorithm itself
 //! lives in `cats-embedding::expand`.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Positive and negative word sets.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Lexicon {
     positive: HashSet<String>,
     negative: HashSet<String>,
@@ -173,15 +172,5 @@ mod tests {
         let t = toks(&["hao", "cha"]);
         assert_eq!(l.positive_count(&t), 0);
         assert_eq!(l.negative_count(&t), 0);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let l = lex();
-        let s = serde_json::to_string(&l).unwrap();
-        let l2: Lexicon = serde_json::from_str(&s).unwrap();
-        assert!(l2.is_positive("hao"));
-        assert!(l2.is_negative("cha"));
-        assert_eq!(l2.positive_len(), l.positive_len());
     }
 }

@@ -5,14 +5,13 @@
 //! occurrence counts, which the embedding crate uses for its unigram
 //! negative-sampling table and frequency subsampling.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Dense identifier of an interned word.
 ///
 /// Ids are assigned in first-seen order starting at zero, so a `TokenId` is
 /// always a valid index into [`Vocab`]-sized side tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TokenId(pub u32);
 
 impl TokenId {
@@ -35,7 +34,7 @@ impl TokenId {
 /// assert_eq!(v.word(a), Some("haoping"));
 /// assert_eq!(v.count(a), 2);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Vocab {
     words: Vec<String>,
     counts: Vec<u64>,
@@ -62,8 +61,8 @@ impl Vocab {
     }
 
     /// Interns every token of a pre-segmented comment.
-    pub fn intern_all(&mut self, tokens: &[String]) -> Vec<TokenId> {
-        tokens.iter().map(|t| self.intern(t)).collect()
+    pub fn intern_all<S: AsRef<str>>(&mut self, tokens: &[S]) -> Vec<TokenId> {
+        tokens.iter().map(|t| self.intern(t.as_ref())).collect()
     }
 
     /// Rebuilds a vocabulary from `(word, count)` entries in id order —

@@ -29,6 +29,17 @@ bench() {
 
 scripts/check.sh
 cargo build --release "${LOCKED[@]}"
+# Paper results must not move: Table I (seed expansion) and Table VI
+# (D0 -> D1 transfer) print only what the trained models compute, so
+# their stdout must equal the committed results/ byte for byte (also on
+# one core). A speed-up that changes a trained model fails here.
+for bin in exp_table1 exp_table6; do
+  cargo run --release "${LOCKED[@]}" -p cats-bench --bin "$bin" >"$LOG_DIR/$bin.log"
+  if ! cmp "$LOG_DIR/$bin.log" "results/$bin.txt"; then
+    echo "verify: $bin output differs from results/$bin.txt" >&2
+    exit 1
+  fi
+done
 # perf/ is a package of its own (own Cargo.lock, built --locked): build
 # it and run its self-tests, so a change to the API it uses or to a
 # manifest it depends on fails here, not only in CI's perf job.

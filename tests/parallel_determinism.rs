@@ -9,10 +9,14 @@
 //! * **seed-stable** — sharded word2vec is a function of the seed alone
 //!   (thread-count independent), and its vectors keep the corpus's
 //!   cluster structure.
+//!
+//! A digest test pins the trained bits themselves: word2vec plus seed
+//! expansion, under both word2vec schedules, must reproduce recorded
+//! checksums, so a speed-up that changes a model fails here.
 
 use cats::core::features::{extract_batch, ItemComments};
 use cats::core::SemanticAnalyzer;
-use cats::embedding::{Word2VecConfig, Word2VecTrainer};
+use cats::embedding::{expand_lexicon, ExpansionConfig, Word2VecConfig, Word2VecTrainer};
 use cats::ml::gbt::{GbtConfig, GradientBoostedTrees, SplitMode};
 use cats::ml::model_selection::cross_validate_with;
 use cats::ml::{Classifier, Dataset};
@@ -118,13 +122,18 @@ fn cross_validation_is_identical_across_thread_counts() {
 /// A clustered corpus big enough (≥ 4096 sentences) to engage the
 /// deterministic sharded word2vec schedule.
 fn clustered_corpus() -> Corpus {
+    clustered_corpus_of(4600)
+}
+
+/// The first `sentences` sentences of the clustered fixture.
+fn clustered_corpus_of(sentences: usize) -> Corpus {
     let mut corpus = Corpus::new();
     let mut state = 0x2545_F491_4F6C_DD1Du64;
     let mut next = |m: u64| {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         (state >> 33) % m
     };
-    for _ in 0..4600 {
+    for _ in 0..sentences {
         let v = next(4);
         let toks: Vec<String> = match next(3) {
             0 => vec![
@@ -192,4 +201,49 @@ fn default_word2vec_preserves_cluster_structure() {
     let within = emb.similarity("hao0", "hao1").unwrap();
     let across = emb.similarity("hao0", "cha1").unwrap();
     assert!(within > across, "within-cluster sim {within} should beat across-cluster sim {across}");
+}
+
+/// CRC32 of a trained embedding (every word, and every trained vector's
+/// bits, in vocabulary order) and of the lexicon expanded from it (each
+/// polarity's words, sorted).
+fn training_digest(corpus: &Corpus) -> (u32, u32) {
+    let cfg = Word2VecConfig {
+        dim: 16,
+        epochs: 3,
+        min_count: 2,
+        subsample: 0.0,
+        ..Word2VecConfig::default()
+    };
+    let emb = Word2VecTrainer::new(cfg).train(corpus);
+    let mut bytes = Vec::new();
+    for (word, trained) in emb.words() {
+        bytes.extend_from_slice(word.as_bytes());
+        bytes.push(0);
+        if trained {
+            for x in emb.vector(word).expect("trained word has a vector") {
+                bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+        }
+    }
+    let cfg = ExpansionConfig { k: 10, min_similarity: 0.0, max_words: 6 };
+    let lexicon = expand_lexicon(&emb, &["hao0".into()], &["cha0".into()], cfg);
+    let mut pos: Vec<&str> = lexicon.positive_words().collect();
+    let mut neg: Vec<&str> = lexicon.negative_words().collect();
+    pos.sort_unstable();
+    neg.sort_unstable();
+    let words = format!("{}|{}", pos.join(" "), neg.join(" "));
+    (cats_io::crc32(&bytes), cats_io::crc32(words.as_bytes()))
+}
+
+#[test]
+fn trained_embedding_and_lexicon_match_recorded_digests() {
+    // The sharded schedule (≥ 4096 sentences), then the serial one.
+    // Recorded before the bucketed sampler, cached-norm neighbour query
+    // and borrowed-token corpus build.
+    let cases = [(4600, (0x5fed_2132, 0x4de2_286d)), (2000, (0xa486_b328, 0x9e46_a0df))];
+    for (sentences, want) in cases {
+        let corpus = clustered_corpus_of(sentences);
+        let got = training_digest(&corpus);
+        assert_eq!(got, want, "{sentences} sentences: (vectors, lexicon) CRC32");
+    }
 }
