@@ -113,12 +113,14 @@ pub fn training_dataset(rows: &[FeatureVector], labels: &[u8]) -> Dataset {
     data
 }
 
-/// Stage-1 evidence: any token of any comment in *P*. A positive 2-gram
-/// contains a positive word, so this is the whole "no positive n-grams or
-/// words" test.
+/// Stage-1 evidence: any token of any comment in *P*, read from the
+/// analyzer's token table (whose `positive` flag is
+/// `Lexicon::is_positive`). A positive 2-gram contains a positive word,
+/// so this is the whole "no positive n-grams or words" test.
 fn has_positive_evidence<V: ItemView>(item: &V, analyzer: &SemanticAnalyzer) -> bool {
-    let lex = analyzer.lexicon();
-    (0..item.comment_count()).any(|i| item.comment(i).1.iter().any(|t| lex.is_positive(t.as_ref())))
+    let table = analyzer.token_table();
+    (0..item.comment_count())
+        .any(|i| item.comment(i).1.iter().any(|t| table.get(t.as_ref()).positive))
 }
 
 /// The CATS detector: rule filter + trained GBT.

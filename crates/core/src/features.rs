@@ -313,10 +313,12 @@ pub fn extract(item: &ItemComments, analyzer: &SemanticAnalyzer) -> FeatureVecto
 /// The extraction kernel, over any [`ItemView`]: owned tokens
 /// ([`extract`]) or slices of the raw texts ([`crate::Detector::detect`]).
 ///
-/// One pass over each comment's tokens computes every feature: each token
-/// costs one lookup in the analyzer's token table and one insert into the
-/// item's [`stats::TokenCounter`], which yields both the per-comment
-/// entropy and the item's distinct words.
+/// One pass over each comment's tokens computes every feature. Each token
+/// costs one probe of the analyzer's token table, which hashes its string
+/// once and returns its entry and, for a known word, its dense id; then
+/// one insert into the item's [`stats::TokenCounter`], keyed by that id
+/// (an integer hash) or, for an unknown word, by the string. The counter
+/// yields both the per-comment entropy and the item's distinct words.
 pub(crate) fn extract_view<V: ItemView + ?Sized>(
     item: &V,
     analyzer: &SemanticAnalyzer,
@@ -335,7 +337,7 @@ pub(crate) fn extract_view<V: ItemView + ?Sized>(
     let comment_lens = || (0..n).map(|i| item.comment(i).1.len());
     let total_words: usize = comment_lens().sum();
     let longest = comment_lens().max().unwrap_or(0);
-    let mut counter = stats::TokenCounter::with_capacity(total_words, longest);
+    let mut counter = stats::TokenCounter::with_id_capacity(total_words, longest);
     let mut bigram_key = String::new();
 
     let mut sum_pos = 0.0;
@@ -355,7 +357,7 @@ pub(crate) fn extract_view<V: ItemView + ?Sized>(
         let mut sums = LaneSums::default();
         for (i, t) in toks.iter().enumerate() {
             let t = t.as_ref();
-            let info = table.get(t);
+            let (id, info) = table.lookup(t);
             pos += usize::from(info.positive);
             neg += usize::from(info.negative);
             // A bigram is in G when either of its words is in P.
@@ -363,7 +365,10 @@ pub(crate) fn extract_view<V: ItemView + ?Sized>(
             prev_pos = info.positive;
             punct += usize::from(is_punctuation_token(t));
             sums.add(info.log_likelihoods);
-            counter.add(t);
+            match id {
+                Some(id) => counter.add_id(id),
+                None => counter.add(t),
+            }
         }
         sentiment.add_bigrams(toks, &mut sums, &mut bigram_key);
 
@@ -661,11 +666,25 @@ mod tests {
         SemanticAnalyzer::from_parts(lex, SentimentModel::train_with_order(&pos, &neg, order))
     }
 
+    /// A word outside the lexicon and the sentiment vocabulary of
+    /// [`seeded_analyzer`]: numbered near misses of its words.
+    fn unknown_word(k: u64) -> String {
+        match k % 3 {
+            0 => format!("hao{k}"),
+            1 => format!("差评{k}"),
+            _ => format!("w{k}x"),
+        }
+    }
+
     fn seeded_item(case: usize, rng: &mut StdRng) -> ItemComments {
         let comments = match case % 6 {
             0 => (rng.next_u64() % 2) as usize,
             _ => 1 + (rng.next_u64() % 12) as usize,
         };
+        // Every fourth item is unknown-heavy: about half its words come
+        // from a pool of unknown words shared by its comments, so they
+        // repeat within and across comments.
+        let unknown_pool = (case % 4 == 3).then(|| 1 + (rng.next_u64() % 40));
         let texts: Vec<String> = (0..comments)
             .map(|c| {
                 let len = match (case + c) % 7 {
@@ -682,7 +701,12 @@ mod tests {
                 };
                 let sep = if (case + c) % 3 == 0 { "" } else { " " };
                 (0..len)
-                    .map(|_| WORDS[lo + (rng.next_u64() % (hi - lo) as u64) as usize])
+                    .map(|_| match unknown_pool {
+                        Some(pool) if rng.next_u64() % 2 == 0 => {
+                            unknown_word(rng.next_u64() % pool)
+                        }
+                        _ => WORDS[lo + (rng.next_u64() % (hi - lo) as u64) as usize].to_string(),
+                    })
                     .collect::<Vec<_>>()
                     .join(sep)
             })
@@ -690,24 +714,60 @@ mod tests {
         ItemComments::from_texts(texts.iter().map(String::as_str))
     }
 
-    #[test]
-    fn extract_is_bit_identical_to_per_feature_oracle() {
+    /// An item with more than 10,000 distinct unknown words, each used
+    /// twice, between known words.
+    fn item_of_many_unknown_words(rng: &mut StdRng) -> ItemComments {
+        let texts: Vec<String> = (0..48u64)
+            .map(|c| {
+                (0..700u64)
+                    .map(|i| match i % 3 {
+                        0 => WORDS[(rng.next_u64() % WORDS.len() as u64) as usize].to_string(),
+                        _ => unknown_word(c % 24 * 1000 + i),
+                    })
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect();
+        let item = ItemComments::from_texts(texts.iter().map(String::as_str));
+        let distinct: std::collections::HashSet<&String> = item.tokens.iter().flatten().collect();
+        assert!(distinct.len() > 10_000, "{} distinct words", distinct.len());
+        item
+    }
+
+    /// Items whose `extract` differs from the per-feature oracle in any
+    /// bit: `cases` seeded items for each of two analyzers per feature
+    /// order, and one item of many unknown words per analyzer.
+    fn kernel_mismatches(seed: u64, cases: usize) -> usize {
         use cats_sentiment::FeatureOrder;
-        let mut rng = StdRng::seed_from_u64(0xCA75);
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut mismatches = 0;
         for order in [FeatureOrder::Unigram, FeatureOrder::UnigramBigram] {
             for _ in 0..2 {
                 let a = seeded_analyzer(order, &mut rng);
-                for case in 0..250 {
-                    let item = seeded_item(case, &mut rng);
+                let big = item_of_many_unknown_words(&mut rng);
+                let items = (0..cases).map(|case| (case, seeded_item(case, &mut rng)));
+                for (case, item) in items.chain([(cases, big)]) {
                     let (got, want) = (extract(&item, &a), extract_oracle(&item, &a));
                     if !same_bits(&got, &want) {
                         mismatches += 1;
-                        eprintln!("{order:?} case {case}: {got:?} vs {want:?}");
+                        eprintln!("seed {seed:#x} {order:?} case {case}: {got:?} vs {want:?}");
                     }
                 }
             }
         }
+        mismatches
+    }
+
+    #[test]
+    fn extract_is_bit_identical_to_per_feature_oracle() {
+        assert_eq!(kernel_mismatches(0xCA75, 250), 0);
+    }
+
+    /// 100 times the tier-1 cases, on fresh seeds; run with `--ignored`.
+    #[test]
+    #[ignore]
+    fn extract_is_bit_identical_to_per_feature_oracle_on_many_seeds() {
+        let mismatches: usize = (0..100).map(|round| kernel_mismatches(0xCA75 + round, 250)).sum();
         assert_eq!(mismatches, 0);
     }
 

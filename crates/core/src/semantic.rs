@@ -11,6 +11,7 @@ use cats_embedding::{expand_lexicon, Embedding, ExpansionConfig, Word2VecConfig,
 use cats_io::io2::{Dec, Enc};
 use cats_par::Parallelism;
 use cats_sentiment::SentimentModel;
+use cats_text::hash::BuildWordHasher;
 use cats_text::{Corpus, Lexicon, Segmenter, WhitespaceSegmenter};
 use std::collections::HashMap;
 
@@ -53,42 +54,64 @@ pub(crate) struct TokenInfo {
 }
 
 /// Every word the lexicon or the sentiment vocabulary knows, mapped to
-/// its [`TokenInfo`], with one shared entry for all other words: one
-/// lookup answers every per-token question of the 11 features.
+/// a dense id and its [`TokenInfo`], with one shared entry for all other
+/// words: one probe answers every per-token question of the 11 features,
+/// and the id lets the item's counter key the token by a `u32` instead
+/// of hashing its string again.
 ///
-/// The table is built from the model alone and is read-only afterwards,
-/// so request tokens only ever probe it; it keeps the keyed std hasher.
+/// Ids run `0..len` in first-seen order over the sentiment vocabulary,
+/// then *P*, then *N*; a word in several of them has one id. The table is
+/// built from the model alone and is read-only afterwards, so request
+/// tokens only probe it: it hashes with the unkeyed
+/// [`cats_text::hash::WordHasher`], as a crafted token can choose where
+/// its probe starts but cannot lengthen any probe sequence.
 #[derive(Debug, Clone)]
 pub(crate) struct TokenTable {
-    known: HashMap<Box<str>, TokenInfo>,
+    known: HashMap<Box<str>, u32, BuildWordHasher>,
+    /// `infos[id]` is the entry of the word with that id.
+    infos: Vec<TokenInfo>,
     unknown: TokenInfo,
 }
 
 impl TokenTable {
     fn build(lexicon: &Lexicon, sentiment: &SentimentModel) -> Self {
-        let info = |w: &str| TokenInfo {
-            positive: lexicon.is_positive(w),
-            negative: lexicon.is_negative(w),
-            log_likelihoods: sentiment.log_likelihoods(w),
-        };
-        let known = sentiment
-            .vocabulary()
-            .chain(lexicon.positive_words())
-            .chain(lexicon.negative_words())
-            .map(|w| (Box::from(w), info(w)))
-            .collect();
+        let words =
+            sentiment.vocabulary().chain(lexicon.positive_words()).chain(lexicon.negative_words());
+        let most = sentiment.vocab_len() + lexicon.positive_len() + lexicon.negative_len();
+        let mut known = HashMap::with_capacity_and_hasher(most, BuildWordHasher::default());
+        let mut infos = Vec::with_capacity(most);
+        for w in words {
+            if !known.contains_key(w) {
+                known.insert(Box::from(w), infos.len() as u32);
+                infos.push(TokenInfo {
+                    positive: lexicon.is_positive(w),
+                    negative: lexicon.is_negative(w),
+                    log_likelihoods: sentiment.log_likelihoods(w),
+                });
+            }
+        }
         let unknown = TokenInfo {
             positive: false,
             negative: false,
             log_likelihoods: sentiment.unseen_log_likelihoods(),
         };
-        Self { known, unknown }
+        Self { known, infos, unknown }
+    }
+
+    /// The id and entry of `token`: its own, or no id and the shared
+    /// unknown-word entry.
+    #[inline]
+    pub(crate) fn lookup(&self, token: &str) -> (Option<u32>, &TokenInfo) {
+        match self.known.get(token) {
+            Some(&id) => (Some(id), &self.infos[id as usize]),
+            None => (None, &self.unknown),
+        }
     }
 
     /// The entry of `token`: its own, or the shared unknown-word one.
     #[inline]
     pub(crate) fn get(&self, token: &str) -> &TokenInfo {
-        self.known.get(token).unwrap_or(&self.unknown)
+        self.lookup(token).1
     }
 }
 
@@ -127,12 +150,12 @@ impl SemanticAnalyzer {
     /// [`Word2VecTrainer::train_checkpointed`]), so on corpora below its
     /// sharding size a store changes the embedding; everything
     /// downstream of it is deterministic.
-    pub(crate) fn train_impl(
+    pub(crate) fn train_impl<'a>(
         comment_texts: &[&str],
         positive_seeds: &[String],
         negative_seeds: &[String],
-        sentiment_positive: &[&str],
-        sentiment_negative: &[&str],
+        sentiment_positive: &[&'a str],
+        sentiment_negative: &[&'a str],
         config: SemanticConfig,
         ckpt: Option<&cats_io::CheckpointStore>,
     ) -> Self {
@@ -162,8 +185,14 @@ impl SemanticAnalyzer {
             let _sent_span = cats_obs::span!("cats.core.train.sentiment", {
                 sentiment_positive.len() + sentiment_negative.len()
             });
-            let seg_docs = |texts: &[&str]| -> Vec<Vec<String>> {
-                cats_par::map_chunked(par, texts, |t| seg.segment(t))
+            // Borrowed tokens: the reviews outlive training, so no token
+            // is copied on the way to interning.
+            let seg_docs = |texts: &[&'a str]| -> Vec<Vec<&'a str>> {
+                cats_par::map_chunked(par, texts, |&t| {
+                    let mut tokens = Vec::new();
+                    seg.segment_borrowed(t, &mut tokens);
+                    tokens
+                })
             };
             SentimentModel::train_par(
                 &seg_docs(sentiment_positive),
@@ -314,6 +343,59 @@ mod tests {
         let neg = a.sentiment().score_text("bad0 awful1", &seg);
         assert!(pos > 0.6, "{pos}");
         assert!(neg < 0.4, "{neg}");
+    }
+
+    #[test]
+    fn token_table_gives_every_known_word_one_dense_id() {
+        // "hao" and "cha" are in the vocabulary and the lexicon, "zan" in
+        // both polarities' training docs, "bang" and "lan" only in the
+        // lexicon, "dian" only in the vocabulary.
+        let lexicon = Lexicon::new(
+            ["hao", "zan", "bang"].map(String::from),
+            ["cha", "lan"].map(String::from),
+        );
+        let docs = |texts: &[&str]| -> Vec<Vec<String>> {
+            texts.iter().map(|t| t.split_whitespace().map(String::from).collect()).collect()
+        };
+        for order in
+            [cats_sentiment::FeatureOrder::Unigram, cats_sentiment::FeatureOrder::UnigramBigram]
+        {
+            let sentiment = SentimentModel::train_with_order(
+                &docs(&["hao zan hao", "zan dian"]),
+                &docs(&["cha cha", "cha zan"]),
+                order,
+            );
+            let a = SemanticAnalyzer::from_parts(lexicon.clone(), sentiment);
+            let (table, sentiment) = (a.token_table(), a.sentiment());
+            let words: std::collections::BTreeSet<&str> = sentiment
+                .vocabulary()
+                .chain(lexicon.positive_words())
+                .chain(lexicon.negative_words())
+                .collect();
+            let mut ids = Vec::new();
+            for &w in &words {
+                let (id, info) = table.lookup(w);
+                let id = id.unwrap_or_else(|| panic!("{w:?} has no id"));
+                let (p, n) = sentiment.log_likelihoods(w);
+                assert_eq!(info.positive, lexicon.is_positive(w), "{w:?}");
+                assert_eq!(info.negative, lexicon.is_negative(w), "{w:?}");
+                assert_eq!(info.log_likelihoods.0.to_bits(), p.to_bits(), "{w:?}");
+                assert_eq!(info.log_likelihoods.1.to_bits(), n.to_bits(), "{w:?}");
+                assert!(std::ptr::eq(info, table.get(w)));
+                ids.push(id);
+            }
+            // One id per word, and the ids are exactly 0..len.
+            ids.sort_unstable();
+            assert_eq!(ids, (0..words.len() as u32).collect::<Vec<_>>(), "{order:?}");
+            for w in ["", "ha", "haozan", "hao ", "dian\u{1}", "zzz", "很好"] {
+                let (id, info) = table.lookup(w);
+                assert_eq!(id, None, "{w:?}");
+                assert!(!info.positive && !info.negative, "{w:?}");
+                let (p, n) = sentiment.unseen_log_likelihoods();
+                assert_eq!(info.log_likelihoods, (p, n), "{w:?}");
+                assert!(std::ptr::eq(info, table.get("zzz")), "one shared unknown entry");
+            }
+        }
     }
 
     #[test]

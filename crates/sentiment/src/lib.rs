@@ -19,6 +19,7 @@
 
 use cats_io::io2::{Dec, Enc};
 use cats_text::{Segmenter, TokenId, Vocab};
+use std::borrow::Cow;
 
 /// Laplace smoothing pseudo-count.
 const ALPHA: f64 = 1.0;
@@ -39,14 +40,17 @@ const TEMPERATURE: f64 = 2.5;
 const BIGRAM_SEPARATOR: char = '\u{1}';
 
 /// Emits the model's features of a segmented comment: the tokens
-/// themselves, plus joined adjacent pairs in bigram mode.
-fn feature_stream(tokens: &[String], order: FeatureOrder) -> Vec<String> {
+/// themselves, borrowed, plus joined adjacent pairs in bigram mode.
+fn feature_stream<S: AsRef<str>>(tokens: &[S], order: FeatureOrder) -> Vec<Cow<'_, str>> {
+    let unigrams = tokens.iter().map(|t| Cow::Borrowed(t.as_ref()));
     match order {
-        FeatureOrder::Unigram => tokens.to_vec(),
+        FeatureOrder::Unigram => unigrams.collect(),
         FeatureOrder::UnigramBigram => {
             let mut out = Vec::with_capacity(tokens.len() * 2);
-            out.extend(tokens.iter().cloned());
-            out.extend(tokens.windows(2).map(|w| format!("{}{BIGRAM_SEPARATOR}{}", w[0], w[1])));
+            out.extend(unigrams);
+            out.extend(tokens.windows(2).map(|w| {
+                Cow::Owned(format!("{}{BIGRAM_SEPARATOR}{}", w[0].as_ref(), w[1].as_ref()))
+            }));
             out
         }
     }
@@ -111,7 +115,7 @@ impl SentimentModel {
     /// # Panics
     /// Panics if either corpus is empty — a one-sided sentiment model is
     /// meaningless and would silently score everything identically.
-    pub fn train(positive_docs: &[Vec<String>], negative_docs: &[Vec<String>]) -> Self {
+    pub fn train<S: AsRef<str>>(positive_docs: &[Vec<S>], negative_docs: &[Vec<S>]) -> Self {
         Self::train_with_order(positive_docs, negative_docs, FeatureOrder::Unigram)
     }
 
@@ -119,15 +123,13 @@ impl SentimentModel {
     ///
     /// # Panics
     /// Panics if either corpus is empty.
-    pub fn train_with_order(
-        positive_docs: &[Vec<String>],
-        negative_docs: &[Vec<String>],
+    pub fn train_with_order<S: AsRef<str>>(
+        positive_docs: &[Vec<S>],
+        negative_docs: &[Vec<S>],
         order: FeatureOrder,
     ) -> Self {
-        let pos: Vec<Vec<String>> =
-            positive_docs.iter().map(|d| feature_stream(d, order)).collect();
-        let neg: Vec<Vec<String>> =
-            negative_docs.iter().map(|d| feature_stream(d, order)).collect();
+        let pos: Vec<_> = positive_docs.iter().map(|d| feature_stream(d, order)).collect();
+        let neg: Vec<_> = negative_docs.iter().map(|d| feature_stream(d, order)).collect();
         Self::from_streams(&pos, &neg, order)
     }
 
@@ -138,9 +140,9 @@ impl SentimentModel {
     ///
     /// # Panics
     /// Panics if either corpus is empty.
-    pub fn train_par(
-        positive_docs: &[Vec<String>],
-        negative_docs: &[Vec<String>],
+    pub fn train_par<S: AsRef<str> + Sync>(
+        positive_docs: &[Vec<S>],
+        negative_docs: &[Vec<S>],
         par: cats_par::Parallelism,
     ) -> Self {
         Self::train_with_order_par(positive_docs, negative_docs, FeatureOrder::Unigram, par)
@@ -151,14 +153,16 @@ impl SentimentModel {
     ///
     /// # Panics
     /// Panics if either corpus is empty.
-    pub fn train_with_order_par(
-        positive_docs: &[Vec<String>],
-        negative_docs: &[Vec<String>],
+    pub fn train_with_order_par<S: AsRef<str> + Sync>(
+        positive_docs: &[Vec<S>],
+        negative_docs: &[Vec<S>],
         order: FeatureOrder,
         par: cats_par::Parallelism,
     ) -> Self {
-        let pos = cats_par::map_chunked(par, positive_docs, |d| feature_stream(d, order));
-        let neg = cats_par::map_chunked(par, negative_docs, |d| feature_stream(d, order));
+        // `map_indexed`, not `map_chunked`: the streams borrow the docs.
+        let (p, n) = (positive_docs, negative_docs);
+        let pos = cats_par::map_indexed(par, p.len(), |i| feature_stream(&p[i], order));
+        let neg = cats_par::map_indexed(par, n.len(), |i| feature_stream(&n[i], order));
         Self::from_streams(&pos, &neg, order)
     }
 
@@ -166,9 +170,9 @@ impl SentimentModel {
     /// expanded by [`feature_stream`]). Interning happens here, serially,
     /// positive documents first — the vocabulary layout is a function of
     /// document order alone.
-    fn from_streams(
-        pos_streams: &[Vec<String>],
-        neg_streams: &[Vec<String>],
+    fn from_streams<S: AsRef<str>>(
+        pos_streams: &[Vec<S>],
+        neg_streams: &[Vec<S>],
         order: FeatureOrder,
     ) -> Self {
         assert!(
@@ -179,21 +183,19 @@ impl SentimentModel {
         let mut pos_counts: Vec<u64> = Vec::new();
         let mut neg_counts: Vec<u64> = Vec::new();
 
-        let tally = |streams: &[Vec<String>],
-                     vocab: &mut Vocab,
-                     counts: &mut Vec<u64>,
-                     other: &mut Vec<u64>| {
-            for stream in streams {
-                for tok in stream {
-                    let id = vocab.intern(tok);
-                    if id.index() >= counts.len() {
-                        counts.resize(id.index() + 1, 0);
-                        other.resize(id.index() + 1, 0);
+        let tally =
+            |streams: &[Vec<S>], vocab: &mut Vocab, counts: &mut Vec<u64>, other: &mut Vec<u64>| {
+                for stream in streams {
+                    for tok in stream {
+                        let id = vocab.intern(tok.as_ref());
+                        if id.index() >= counts.len() {
+                            counts.resize(id.index() + 1, 0);
+                            other.resize(id.index() + 1, 0);
+                        }
+                        counts[id.index()] += 1;
                     }
-                    counts[id.index()] += 1;
                 }
-            }
-        };
+            };
         tally(pos_streams, &mut vocab, &mut pos_counts, &mut neg_counts);
         tally(neg_streams, &mut vocab, &mut neg_counts, &mut pos_counts);
         let v = vocab.len();
@@ -567,6 +569,17 @@ mod tests {
                     parallel.to_io2_payload(),
                     "order {order:?} threads {threads}"
                 );
+                // Borrowed tokens train the same model.
+                fn borrow(docs: &[Vec<String>]) -> Vec<Vec<&str>> {
+                    docs.iter().map(|d| d.iter().map(String::as_str).collect()).collect()
+                }
+                let (bpos, bneg) = (borrow(&pos), borrow(&neg));
+                let borrowed = SentimentModel::train_with_order_par(&bpos, &bneg, order, par);
+                assert_eq!(
+                    serial.to_io2_payload(),
+                    borrowed.to_io2_payload(),
+                    "borrowed {order:?}"
+                );
             }
         }
     }
@@ -582,7 +595,7 @@ mod tests {
         let mut n_feats = 0usize;
         for (f, tok) in feature_stream(tokens, m.order).iter().enumerate() {
             n_feats += 1;
-            let (p, q) = match m.vocab.id(tok) {
+            let (p, q) = match m.vocab.id(tok.as_ref()) {
                 Some(TokenId(i)) => (m.log_pos[i as usize], m.log_neg[i as usize]),
                 None => (m.log_unseen_pos, m.log_unseen_neg),
             };

@@ -20,12 +20,15 @@
 //!   counting helpers for the word-level features.
 //! * [`corpus`] — tokenized comment containers shared by the embedding and
 //!   sentiment crates.
+//! * [`hash`] — the unkeyed word hasher of the comment kernel's read-only
+//!   tables.
 //!
 //! Everything here is deterministic and allocation-conscious: hot paths take
 //! `&[...]` slices and avoid intermediate `String`s.
 
 pub mod corpus;
 pub mod dictseg;
+pub mod hash;
 pub mod lexicon;
 pub mod ngram;
 pub mod segment;

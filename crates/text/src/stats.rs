@@ -6,53 +6,88 @@
 //! comments. The functions here compute those raw statistics for a single
 //! segmented comment; `cats-core` aggregates them per item.
 
+use crate::hash::BuildWordHasher;
 use crate::segment::is_punctuation_token;
 use std::collections::HashMap;
 
 /// Counts tokens comment by comment: the per-comment count multiset
 /// behind entropy, and the distinct tokens across every comment added.
 ///
-/// Each token costs one probe of a map keyed by the token with the std
-/// (keyed) hasher; counts live in a vector reused between comments.
-/// [`CommentStats::compute`], [`token_entropy`], [`unique_word_ratio`] and
-/// the item feature extractor all count through this type.
+/// A token comes in by string ([`TokenCounter::add`]) or, when a model
+/// table already gave it a dense id, by that id
+/// ([`TokenCounter::add_id`]); a caller uses one key per token, the id
+/// whenever there is one. Each token costs one probe of one of two maps:
+/// ids go to a `u32`-keyed map with the [`WordHasher`](crate::hash::WordHasher) (its
+/// keys are smaller than the table that issued them), strings to a map
+/// with the std keyed hasher (they may be anything a request sent). Both
+/// maps index one count vector, reused between comments, so entropy sees
+/// one count multiset. [`CommentStats::compute`], [`token_entropy`],
+/// [`unique_word_ratio`] and the item feature extractor all count through
+/// this type. Memory is O(tokens added), whatever the id range.
 #[derive(Debug, Default)]
 pub struct TokenCounter<'a> {
-    /// Every distinct token added: the comment it last appeared in, and
-    /// its slot in `counts` within that comment.
-    tokens: HashMap<&'a str, (usize, usize)>,
+    /// Every distinct id added: the comment it last appeared in, and its
+    /// slot in `counts` within that comment.
+    ids: HashMap<u32, Seen, BuildWordHasher>,
+    /// The same for every distinct string added.
+    words: HashMap<&'a str, Seen>,
     /// Occurrences of each distinct token of the current comment.
     counts: Vec<u32>,
     /// Number of the current comment.
     comment: usize,
 }
 
+/// A counted token: `(comment it last appeared in, its slot in counts)`.
+type Seen = (usize, usize);
+
 impl<'a> TokenCounter<'a> {
-    /// A counter sized for `tokens` tokens in total and `longest` tokens
+    /// A counter for `tokens` string tokens in total and `longest` tokens
     /// in its longest comment, so counting allocates nothing more.
     pub fn with_capacity(tokens: usize, longest: usize) -> Self {
+        Self { words: HashMap::with_capacity(tokens), ..Self::with_id_capacity(0, longest) }
+    }
+
+    /// A counter for `tokens` tokens in total, most of them added by id,
+    /// and `longest` tokens in its longest comment. The id map is sized
+    /// for every token; the string map grows with the strings added.
+    pub fn with_id_capacity(tokens: usize, longest: usize) -> Self {
         Self {
-            tokens: HashMap::with_capacity(tokens),
+            ids: HashMap::with_capacity_and_hasher(tokens, BuildWordHasher::default()),
+            words: HashMap::new(),
             counts: Vec::with_capacity(longest),
             comment: 0,
         }
     }
 
-    /// Counts one token of the current comment.
+    /// Counts one token of the current comment by its string.
     #[inline]
     pub fn add(&mut self, token: &'a str) {
-        let (seen_in, slot) = self.tokens.entry(token).or_insert((usize::MAX, 0));
-        if *seen_in != self.comment {
-            *seen_in = self.comment;
-            *slot = self.counts.len();
-            self.counts.push(0);
+        let seen = self.words.entry(token).or_insert((usize::MAX, 0));
+        Self::count(seen, self.comment, &mut self.counts);
+    }
+
+    /// Counts one token of the current comment by the dense id a model
+    /// table gave it. Distinct ids are distinct tokens.
+    #[inline]
+    pub fn add_id(&mut self, id: u32) {
+        let seen = self.ids.entry(id).or_insert((usize::MAX, 0));
+        Self::count(seen, self.comment, &mut self.counts);
+    }
+
+    #[inline]
+    fn count((seen_in, slot): &mut Seen, comment: usize, counts: &mut Vec<u32>) {
+        if *seen_in != comment {
+            *seen_in = comment;
+            *slot = counts.len();
+            counts.push(0);
         }
-        self.counts[*slot] += 1;
+        counts[*slot] += 1;
     }
 
     /// Ends the current comment, whose `n` tokens went through
-    /// [`TokenCounter::add`]: returns the Shannon entropy in bits of its
-    /// token distribution and its number of distinct tokens.
+    /// [`TokenCounter::add`] or [`TokenCounter::add_id`]: returns the
+    /// Shannon entropy in bits of its token distribution and its number
+    /// of distinct tokens.
     ///
     /// Entropy depends only on the count multiset; summing it in sorted
     /// count order makes the result a function of that multiset alone,
@@ -66,9 +101,10 @@ impl<'a> TokenCounter<'a> {
         (entropy, distinct)
     }
 
-    /// Distinct tokens over every comment added so far.
+    /// Distinct tokens over every comment added so far: the distinct ids
+    /// plus the distinct strings.
     pub fn distinct(&self) -> usize {
-        self.tokens.len()
+        self.ids.len() + self.words.len()
     }
 }
 
@@ -354,6 +390,38 @@ mod tests {
             }
         }
         assert_eq!(mismatches, 0);
+    }
+
+    #[test]
+    fn ids_and_strings_count_like_strings_alone() {
+        // Half the words carry an id, as a model table's known words do;
+        // the rest are counted by string.
+        const WORDS: &[&str] = &["hao", "ping", "!", "很好", "x", "xx", "🙂", "a\u{1}b"];
+        let id_of = |w: &str| WORDS[..4].iter().position(|&k| k == w).map(|i| i as u32 * 7);
+        let mut rng = StdRng::seed_from_u64(0x1D5);
+        for case in 0..500 {
+            let comments: Vec<Vec<&str>> = (0..1 + case % 6)
+                .map(|_| {
+                    let len = (rng.next_u64() % 30) as usize;
+                    (0..len).map(|_| WORDS[(rng.next_u64() % 8) as usize]).collect()
+                })
+                .collect();
+            let total = comments.iter().map(Vec::len).sum();
+            let mut by_string = TokenCounter::with_capacity(total, 0);
+            let mut mixed = TokenCounter::with_id_capacity(total, 0);
+            for c in &comments {
+                for &t in c {
+                    by_string.add(t);
+                    match id_of(t) {
+                        Some(id) => mixed.add_id(id),
+                        None => mixed.add(t),
+                    }
+                }
+                let (want, got) = (by_string.end_comment(c.len()), mixed.end_comment(c.len()));
+                assert_eq!((got.0.to_bits(), got.1), (want.0.to_bits(), want.1), "case {case}");
+            }
+            assert_eq!(mixed.distinct(), by_string.distinct(), "case {case}");
+        }
     }
 
     #[test]

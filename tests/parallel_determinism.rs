@@ -10,9 +10,10 @@
 //!   (thread-count independent), and its vectors keep the corpus's
 //!   cluster structure.
 //!
-//! A digest test pins the trained bits themselves: word2vec plus seed
-//! expansion, under both word2vec schedules, must reproduce recorded
-//! checksums, so a speed-up that changes a model fails here.
+//! Two digest tests pin the bits themselves: word2vec plus seed
+//! expansion, under both word2vec schedules, and the reports `detect`
+//! gives on raw-text items at 1 and 2 threads must reproduce recorded
+//! checksums, so a speed-up that changes a model or a verdict fails here.
 
 use cats::core::features::{extract_batch, ItemComments};
 use cats::core::SemanticAnalyzer;
@@ -245,5 +246,122 @@ fn trained_embedding_and_lexicon_match_recorded_digests() {
         let corpus = clustered_corpus_of(sentences);
         let got = training_digest(&corpus);
         assert_eq!(got, want, "{sentences} sentences: (vectors, lexicon) CRC32");
+    }
+}
+
+/// Scraps appended to the digest items' comments: words outside the
+/// lexicon and the sentiment vocabulary, ASCII and CJK punctuation, and
+/// whitespace the segmenter must split on (or, for U+001C, U+200B and
+/// U+FEFF, must not).
+const DIGEST_EXTRA: [&str; 12] = [
+    "!!",
+    "。",
+    "，很好",
+    "a\u{3000}b",
+    "x\u{85}y",
+    "u\u{1680}v",
+    "p\u{205F}q",
+    "z\u{200B}z",
+    "\u{FEFF}bom",
+    "fs\u{1C}gs\u{1F}us",
+    "😀 é ✓",
+    "\t\n~ ; :",
+];
+
+/// Reports of a detector trained on a small D0 draw, over raw-text items
+/// from a second draw with scraps and unknown words mixed in, at
+/// `threads` threads: the CRC32 of each report's filter, score bits,
+/// verdict and feature bits, in item order.
+fn verdict_digest(threads: usize) -> u32 {
+    use cats::core::{Detector, DetectorConfig, FilterDecision};
+    use cats::platform::comment_model::{generate_comment, CommentStyle};
+    use cats::platform::datasets;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    let train = datasets::d0(0.003, 91);
+    let words = train.lexicon();
+    // Half of each polarity, so the other half can be known to the
+    // sentiment model alone.
+    let half = |w: &[String]| w[..w.len() / 2].to_vec();
+    let lexicon = Lexicon::new(half(words.positive()), half(words.negative()));
+    let mut rng = StdRng::seed_from_u64(91);
+    let mut reviews = |style| -> Vec<Vec<String>> {
+        (0..200)
+            .map(|_| {
+                generate_comment(words, style, &mut rng)
+                    .split_whitespace()
+                    .map(String::from)
+                    .collect()
+            })
+            .collect()
+    };
+    let (pos, neg) =
+        (reviews(CommentStyle::OrganicPositive), reviews(CommentStyle::OrganicNegative));
+    let analyzer = SemanticAnalyzer::from_parts(lexicon, SentimentModel::train(&pos, &neg));
+    let train_items: Vec<ItemComments> = train
+        .items()
+        .iter()
+        .map(|i| ItemComments::from_texts(i.comments.iter().map(|c| c.content.as_str())))
+        .collect();
+    let labels: Vec<u8> = train.items().iter().map(|i| u8::from(i.label.is_fraud())).collect();
+    let mut detector = Detector::with_default_classifier(DetectorConfig {
+        parallelism: par(threads),
+        ..DetectorConfig::default()
+    });
+    detector.fit(&train_items, &labels, &analyzer);
+
+    let target = datasets::d0(0.003, 92);
+    let mut rng = StdRng::seed_from_u64(92);
+    let mut sales = Vec::new();
+    let items: Vec<Vec<String>> = target
+        .items()
+        .iter()
+        .map(|it| {
+            sales.push(if rng.next_u64() % 10 == 0 { 1 } else { it.sales_volume });
+            if rng.next_u64() % 20 == 0 {
+                return Vec::new();
+            }
+            it.comments
+                .iter()
+                .map(|c| {
+                    let mut text = c.content.clone();
+                    for _ in 0..rng.next_u64() % 4 {
+                        text.push(' ');
+                        match rng.next_u64() % 3 {
+                            0 => text.push_str(DIGEST_EXTRA[(rng.next_u64() % 12) as usize]),
+                            _ => text.push_str(&format!("unk{}", rng.next_u64() % 300)),
+                        }
+                    }
+                    text
+                })
+                .collect()
+        })
+        .collect();
+    let raw: Vec<&[String]> = items.iter().map(Vec::as_slice).collect();
+    let reports = detector.detect(&raw, &sales, &analyzer);
+    let mut bytes = Vec::new();
+    for r in &reports {
+        bytes.push(match r.filter {
+            FilterDecision::Classified => 0,
+            FilterDecision::FilteredLowSales => 1,
+            FilterDecision::FilteredNoPositiveEvidence => 2,
+            FilterDecision::Quarantined => 3,
+        });
+        bytes.extend_from_slice(&r.score.to_bits().to_le_bytes());
+        bytes.push(u8::from(r.is_fraud));
+        for x in r.features.iter().flat_map(|f| f.as_slice()) {
+            bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+    }
+    cats_io::crc32(&bytes)
+}
+
+#[test]
+fn detect_verdicts_match_recorded_digest() {
+    // Recorded before the dense-id token table, id-keyed counting and
+    // byte-class segmenter.
+    const WANT: u32 = 0xcd87_ad20;
+    for threads in [1, 2] {
+        assert_eq!(verdict_digest(threads), WANT, "{threads} threads: verdict CRC32");
     }
 }
