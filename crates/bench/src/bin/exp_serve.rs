@@ -187,8 +187,8 @@ fn main() {
         swap_load.versions_seen
     );
 
-    // Phase 3: backpressure probe — a tiny queue plus a long coalescing
-    // window must answer 429, quickly, instead of stalling sockets.
+    // Phase 3: backpressure probe — a 1-slot queue behind a held
+    // worker must answer 429, quickly, instead of stalling sockets.
     let probe_slot = {
         let snap = PipelineSnapshot::from_bytes(&swap_snapshot).expect("probe snapshot decodes");
         Arc::new(ModelSlot::new(CatsPipeline::restore(snap)))
@@ -197,38 +197,46 @@ fn main() {
         probe_slot,
         ServeConfig {
             addr: "127.0.0.1:0".into(),
-            batch: BatchConfig {
-                max_batch_items: 10_000,
-                max_delay: Duration::from_millis(500),
-                queue_capacity: 1,
-                workers: 1,
-            },
+            batch: BatchConfig { queue_capacity: 1, workers: 1, ..BatchConfig::default() },
             ..ServeConfig::default()
         },
     )
     .expect("bind probe socket");
     let probe_addr = probe.addr().to_string();
+    let hold = probe.hold_workers();
     let probe_t0 = Instant::now();
+    let (outcome_tx, outcomes) = std::sync::mpsc::channel();
     let probe_handles: Vec<_> = (0..16)
         .map(|i| {
-            let addr = probe_addr.clone();
+            let (addr, tx) = (probe_addr.clone(), outcome_tx.clone());
             let item = pool[i % pool.len()].clone();
             std::thread::spawn(move || {
                 let client = ScoreClient::new(addr).with_timeout(Duration::from_secs(30));
-                match client.score(&[item]) {
+                let outcome = match client.score(&[item]) {
                     Ok(_) => (1u64, 0u64, 0u64),
                     Err(cats_serve::ClientError::Http { status: 429, .. }) => (0, 1, 0),
                     Err(_) => (0, 0, 1),
-                }
+                };
+                let _ = tx.send(outcome);
             })
         })
         .collect();
+    drop(outcome_tx);
     let (mut accepted, mut rejected_429, mut failed) = (0u64, 0u64, 0u64);
-    for h in probe_handles {
-        let (a, r, f) = h.join().expect("probe thread");
+    let mut tally = |(a, r, f): (u64, u64, u64)| {
         accepted += a;
         rejected_429 += r;
         failed += f;
+    };
+    // The one queued request cannot be scored while the worker is held,
+    // so the other 15 answer first; then release it.
+    for outcome in outcomes.iter().take(15) {
+        tally(outcome);
+    }
+    drop(hold);
+    outcomes.iter().for_each(&mut tally);
+    for h in probe_handles {
+        h.join().expect("probe thread");
     }
     let probe_s = probe_t0.elapsed().as_secs_f64();
     probe.shutdown();

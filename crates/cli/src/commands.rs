@@ -209,10 +209,8 @@ pub struct ServeOpts {
     pub model_path: String,
     /// Hot-swap the model when the snapshot file is rewritten.
     pub watch: bool,
-    /// Micro-batcher: dispatch once a batch holds this many items.
+    /// Micro-batcher: most items one batch pops.
     pub max_batch_items: usize,
-    /// Micro-batcher: coalescing window in milliseconds.
-    pub max_delay_ms: u64,
     /// Bounded request queue capacity (overflow answers 429).
     pub queue_capacity: usize,
     /// Batch worker threads.
@@ -232,7 +230,6 @@ impl Default for ServeOpts {
             model_path: String::new(),
             watch: false,
             max_batch_items: b.max_batch_items,
-            max_delay_ms: b.max_delay.as_millis() as u64,
             queue_capacity: b.queue_capacity,
             workers: b.workers,
             checkpoint_dir: None,
@@ -279,7 +276,6 @@ pub fn start_server(
         addr: opts.addr.clone(),
         batch: cats_serve::BatchConfig {
             max_batch_items: opts.max_batch_items,
-            max_delay: std::time::Duration::from_millis(opts.max_delay_ms),
             queue_capacity: opts.queue_capacity,
             workers: opts.workers,
         },

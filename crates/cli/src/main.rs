@@ -6,7 +6,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  cats-cli generate --scale <f64> --seed <u64>            (JSONL to stdout)\n  cats-cli crawl    --scale <f64> --seed <u64> [--faults <0..1>]  (JSONL to stdout)\n  cats-cli train    --input <jsonl> --model <out.cats> [--threshold <f64>] [--seed <u64>] [--metrics-out <json>] [--checkpoint-dir <dir>] [--resume]\n  cats-cli detect   --model <cats> --input <jsonl> [--metrics-out <json>]  (reports to stdout)\n  cats-cli serve    --model <cats> [--addr <host:port>] [--watch] [--max-batch <n>] [--max-delay-ms <n>] [--queue <n>] [--workers <n>] [--checkpoint-dir <dir>]\n  cats-cli serve    --model <cats> --shards <n> [--addr <host:port>] [--workers <n>] [--score-threads <n>]   (multi-process cluster)\n  cats-cli serve    --model <cats> --shard-of <id> [--addr <host:port>] [--workers <n>] [--score-threads <n>] (one cluster shard)\n  cats-cli score    --input <jsonl> [--addr <host:port>]  (reports to stdout)\n  cats-cli analyze  --reports <jsonl> --labeled <jsonl>\n  cats-cli metrics  --profile <json>                      (pretty-print a RunProfile)"
+        "usage:\n  cats-cli generate --scale <f64> --seed <u64>            (JSONL to stdout)\n  cats-cli crawl    --scale <f64> --seed <u64> [--faults <0..1>]  (JSONL to stdout)\n  cats-cli train    --input <jsonl> --model <out.cats> [--threshold <f64>] [--seed <u64>] [--metrics-out <json>] [--checkpoint-dir <dir>] [--resume]\n  cats-cli detect   --model <cats> --input <jsonl> [--metrics-out <json>]  (reports to stdout)\n  cats-cli serve    --model <cats> [--addr <host:port>] [--watch] [--max-batch <n>] [--queue <n>] [--workers <n>] [--checkpoint-dir <dir>]\n  cats-cli serve    --model <cats> --shards <n> [--addr <host:port>] [--workers <n>] [--score-threads <n>]   (multi-process cluster)\n  cats-cli serve    --model <cats> --shard-of <id> [--addr <host:port>] [--workers <n>] [--score-threads <n>] (one cluster shard)\n  cats-cli score    --input <jsonl> [--addr <host:port>]  (reports to stdout)\n  cats-cli analyze  --reports <jsonl> --labeled <jsonl>\n  cats-cli metrics  --profile <json>                      (pretty-print a RunProfile)"
     );
     ExitCode::from(2)
 }
@@ -174,7 +174,6 @@ fn run() -> Result<(), String> {
                 model_path: get("model").ok_or("--model is required")?,
                 watch: flags.contains_key("watch"),
                 max_batch_items: parse_u64("max-batch", 64)? as usize,
-                max_delay_ms: parse_u64("max-delay-ms", 10)?,
                 queue_capacity: parse_u64("queue", 256)? as usize,
                 workers: parse_u64("workers", 2)? as usize,
                 checkpoint_dir: get("checkpoint-dir"),

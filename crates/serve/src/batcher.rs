@@ -1,15 +1,15 @@
 //! Micro-batching request queue.
 //!
-//! Concurrent `POST /v1/score` requests land in one bounded queue;
-//! batch workers drain it, coalescing whatever is in flight into a
-//! batch bounded by [`BatchConfig::max_batch_items`] items and a
-//! [`BatchConfig::max_delay`] deadline anchored at the *oldest* pending
-//! request, then score the whole batch through a single
+//! Concurrent `POST /v1/score` requests land in one bounded queue.
+//! Dispatch is *work-conserving*: a worker that finds the queue
+//! non-empty pops whole requests, up to [`BatchConfig::max_batch_items`]
+//! items, and scores them at once through one
 //! [`cats_core::CatsPipeline::detect`] call (which fans out across the
-//! `cats-par` pool). Items go in as the requests' own comment lists;
-//! detect segments each one inside its per-item work, into slices of
-//! those strings. Requests are never split: every item of a request
-//! is scored by the same model version, in the same batch.
+//! `cats-par` pool). Requests coalesce only when they arrive while every
+//! worker is busy; the next free worker takes them together. Items go
+//! in as the requests' own comment lists, which detect segments into
+//! slices. Requests are never split: every item of a request is scored
+//! by the same model version, in the same batch.
 //!
 //! Backpressure is typed, not implicit: a full queue rejects with
 //! [`RejectReason::QueueFull`] (HTTP 429 upstream) and a draining
@@ -38,12 +38,9 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for the micro-batcher.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Dispatch a batch once it holds at least this many items. A
-    /// single oversized request still dispatches alone (never split).
+    /// Most items a worker pops into one batch. A single oversized
+    /// request still dispatches alone (never split).
     pub max_batch_items: usize,
-    /// How long the oldest pending request may wait for co-riders
-    /// before its batch dispatches anyway.
-    pub max_delay: Duration,
     /// Maximum requests waiting in the queue; beyond this, submit
     /// rejects with [`RejectReason::QueueFull`].
     pub queue_capacity: usize,
@@ -53,12 +50,7 @@ pub struct BatchConfig {
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        Self {
-            max_batch_items: 64,
-            max_delay: Duration::from_millis(10),
-            queue_capacity: 256,
-            workers: 2,
-        }
+        Self { max_batch_items: 64, queue_capacity: 256, workers: 2 }
     }
 }
 
@@ -122,6 +114,9 @@ struct Shared {
     /// Chaos hook: each pending count makes one worker iteration panic
     /// right after it pops its batch (see [`Batcher::inject_worker_panic`]).
     inject_panics: AtomicU32,
+    /// Chaos hook: while non-zero, workers leave the queue alone unless
+    /// draining (see [`Batcher::hold_workers`]).
+    holds: AtomicU32,
     /// Items (not requests) currently queued — the numerator of the
     /// 429 Retry-After estimate.
     queued_items: AtomicU64,
@@ -164,20 +159,15 @@ pub fn compute_retry_after(queued_items: u64, drain_rate_items_per_sec: f64) -> 
     ((queued_items as f64 / drain_rate_items_per_sec).ceil() as u64).clamp(1, 30)
 }
 
-/// Waits on `cv`, recovering from poison like [`cats_obs::lock_recover`]
-/// (a worker that panicked while holding the queue lock must not take
-/// down its siblings with it).
-fn wait_recover<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    dur: Duration,
-    name: &str,
-) -> MutexGuard<'a, T> {
-    match cv.wait_timeout(guard, dur) {
+/// Waits (at most 50 ms) for the queue's condvar, recovering from
+/// poison like [`cats_obs::lock_recover`] (a worker that panicked while
+/// holding the queue lock must not take down its siblings with it).
+fn wait_recover<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    match cv.wait_timeout(guard, Duration::from_millis(50)) {
         Ok((g, _timeout)) => g,
         Err(poisoned) => {
             cats_obs::counter("cats.obs.lock.poison_recovered").inc();
-            eprintln!("cats-obs: recovered poisoned lock {name}");
+            eprintln!("cats-obs: recovered poisoned lock cats.serve.batch.queue");
             poisoned.into_inner().0
         }
     }
@@ -207,6 +197,7 @@ impl Batcher {
             notify: Condvar::new(),
             draining: AtomicBool::new(false),
             inject_panics: AtomicU32::new(0),
+            holds: AtomicU32::new(0),
             queued_items: AtomicU64::new(0),
             drain_rate_bits: AtomicU64::new(0f64.to_bits()),
             last_drain_micros: AtomicU64::new(cats_obs::now_micros()),
@@ -220,6 +211,8 @@ impl Batcher {
                 std::thread::Builder::new()
                     .name(format!("cats-serve-batch-{i}"))
                     .spawn(move || supervise(&shared))
+                    // `new` keeps its infallible signature (the benchmark
+                    // calls it); a process that cannot spawn cannot serve.
                     .expect("spawn batch worker")
             })
             .collect();
@@ -231,6 +224,14 @@ impl Batcher {
     /// dropped-reply (HTTP 500) recovery path end to end.
     pub fn inject_worker_panic(&self, n: u32) {
         self.shared.inject_panics.fetch_add(n, Ordering::AcqRel);
+    }
+
+    /// Chaos hook: workers pop nothing until the guard drops, so
+    /// requests queue (and overflow) as behind busy workers, on cue. A
+    /// popped batch still finishes, and draining overrides the hold.
+    pub fn hold_workers(&self) -> WorkerHold {
+        self.shared.holds.fetch_add(1, Ordering::AcqRel);
+        WorkerHold { shared: self.shared.clone() }
     }
 
     /// Enqueues a request. On `Ok`, the receiver yields exactly one
@@ -252,14 +253,10 @@ impl Batcher {
         items: Vec<ScoreItem>,
         pin: Option<u64>,
     ) -> Result<mpsc::Receiver<BatchReply>, RejectReason> {
-        if self.shared.draining.load(Ordering::Acquire) {
-            cats_obs::counter("cats.serve.reject.draining").inc();
-            return Err(RejectReason::Draining);
-        }
         let (reply, rx) = mpsc::channel();
         {
             let mut q = cats_obs::lock_recover(&self.shared.queue, "cats.serve.batch.queue");
-            // Re-check under the lock: shutdown() flips the flag before
+            // Checked under the lock: shutdown() flips the flag before
             // draining the queue, so nothing slips in behind it.
             if self.shared.draining.load(Ordering::Acquire) {
                 cats_obs::counter("cats.serve.reject.draining").inc();
@@ -310,6 +307,24 @@ impl Batcher {
     }
 }
 
+/// Guard returned by [`Batcher::hold_workers`]; dropping it releases
+/// the workers onto whatever queued up meanwhile.
+#[must_use = "the workers are released as soon as the guard drops"]
+pub struct WorkerHold {
+    shared: Arc<Shared>,
+}
+
+impl Drop for WorkerHold {
+    fn drop(&mut self) {
+        // Release under the queue lock, so a worker between its hold
+        // check and its wait cannot miss the wake-up.
+        let q = cats_obs::lock_recover(&self.shared.queue, "cats.serve.batch.queue");
+        self.shared.holds.fetch_sub(1, Ordering::AcqRel);
+        drop(q);
+        self.shared.notify.notify_all();
+    }
+}
+
 impl Drop for Batcher {
     fn drop(&mut self) {
         self.shutdown();
@@ -338,57 +353,31 @@ fn worker_loop(shared: &Shared) {
     let batch_wait = cats_obs::histogram("cats.serve.batch.wait_ms");
     let depth_gauge = cats_obs::gauge("cats.serve.queue.depth");
     loop {
-        // Phase 1: wait for work (or drain + empty queue = exit).
+        // Wait for work; a draining worker exits once the queue is empty.
         let mut q = cats_obs::lock_recover(&shared.queue, "cats.serve.batch.queue");
         loop {
-            if !q.is_empty() {
-                break;
-            }
-            if shared.draining.load(Ordering::Acquire) {
-                return;
-            }
-            q = wait_recover(
-                &shared.notify,
-                q,
-                Duration::from_millis(50),
-                "cats.serve.batch.queue",
-            );
-        }
-
-        // Phase 2: coalesce. The deadline is anchored at the OLDEST
-        // pending request so no request waits longer than max_delay in
-        // the window, however many co-riders trickle in after it.
-        let deadline = q.front().expect("non-empty queue").enqueued + shared.config.max_delay;
-        loop {
-            let queued: usize = q.iter().map(|r| r.items.len()).sum();
-            if queued >= shared.config.max_batch_items || shared.draining.load(Ordering::Acquire) {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            q = wait_recover(&shared.notify, q, deadline - now, "cats.serve.batch.queue");
+            let draining = shared.draining.load(Ordering::Acquire);
             if q.is_empty() {
-                // Another worker took everything while we slept.
+                if draining {
+                    return;
+                }
+            } else if draining || shared.holds.load(Ordering::Acquire) == 0 {
                 break;
             }
-        }
-        if q.is_empty() {
-            continue;
+            q = wait_recover(&shared.notify, q);
         }
 
-        // Pop whole requests until the item budget is spent. The first
-        // request always ships, even if alone it exceeds the budget.
+        // Work-conserving: pop whole requests at once, until the item
+        // budget is spent. The first request always ships, even if alone
+        // it exceeds the budget.
         let mut batch: Vec<Request> = Vec::new();
         let mut items_in_batch = 0usize;
-        while let Some(front) = q.front() {
-            if !batch.is_empty()
-                && items_in_batch + front.items.len() > shared.config.max_batch_items
+        while let Some(req) = q.pop_front() {
+            if !batch.is_empty() && items_in_batch + req.items.len() > shared.config.max_batch_items
             {
+                q.push_front(req);
                 break;
             }
-            let req = q.pop_front().expect("front exists");
             items_in_batch += req.items.len();
             batch.push(req);
         }
@@ -413,7 +402,7 @@ fn worker_loop(shared: &Shared) {
             panic!("injected batch-worker panic (chaos)");
         }
 
-        // Phase 3: score outside the lock. Requests are grouped by
+        // Score outside the lock. Requests are grouped by
         // their version pin — one model load per group — so every
         // *request* is still scored by exactly one coherent model even
         // when a coalesced batch mixes pins mid-rolling-swap.
@@ -503,8 +492,12 @@ mod tests {
     use crate::testutil;
     use cats_core::ItemComments;
 
+    /// A fresh slot over one model trained once per test binary.
     fn slot() -> Arc<ModelSlot> {
-        Arc::new(ModelSlot::new(testutil::trained(0.0)))
+        static SNAPSHOT: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        let snap =
+            SNAPSHOT.get_or_init(|| testutil::trained(0.0).to_snapshot().to_io2_bytes().unwrap());
+        Arc::new(ModelSlot::new(testutil::restore(snap, 0.0)))
     }
 
     /// Unwraps the scored arm (panics on a 409 reply).
@@ -539,19 +532,24 @@ mod tests {
 
     #[test]
     fn concurrent_requests_coalesce_but_answer_separately() {
-        let batcher = Arc::new(Batcher::new(
-            slot(),
-            BatchConfig { max_delay: Duration::from_millis(40), ..BatchConfig::default() },
-        ));
+        let batcher = Arc::new(Batcher::new(slot(), BatchConfig::default()));
+        // Held workers let all eight callers queue before any pops, so
+        // they ride one batch as they would behind busy workers.
+        let hold = batcher.hold_workers();
+        let queued = Arc::new(std::sync::Barrier::new(9));
         let handles: Vec<_> = (0..8)
             .map(|i| {
-                let b = batcher.clone();
+                let (b, queued) = (batcher.clone(), queued.clone());
                 std::thread::spawn(move || {
                     let rx = b.submit(vec![req(i, i % 2 == 0)]).unwrap();
+                    queued.wait();
                     rx.recv_timeout(Duration::from_secs(30)).unwrap()
                 })
             })
             .collect();
+        queued.wait();
+        assert_eq!(batcher.queue_depth(), 8, "every caller queued behind the hold");
+        drop(hold);
         for (i, h) in handles.into_iter().enumerate() {
             let scored = scored(h.join().unwrap());
             assert_eq!(scored.verdicts.len(), 1);
@@ -559,49 +557,97 @@ mod tests {
         }
     }
 
+    /// A 1-slot queue behind a held worker: the first submit queues, the
+    /// second bounces at once. Returns the hold and the queued receiver.
+    fn overflow_round(batcher: &Batcher, id: u64) -> (WorkerHold, mpsc::Receiver<BatchReply>) {
+        let hold = batcher.hold_workers();
+        let rx = batcher.submit(vec![req(id, true)]).unwrap();
+        assert_eq!(
+            batcher.submit(vec![req(id + 1, false)]).unwrap_err(),
+            RejectReason::QueueFull,
+            "bounded queue must reject when full"
+        );
+        (hold, rx)
+    }
+
+    fn one_slot_queue() -> Batcher {
+        Batcher::new(
+            slot(),
+            BatchConfig { queue_capacity: 1, workers: 1, ..BatchConfig::default() },
+        )
+    }
+
     #[test]
     fn full_queue_rejects_instead_of_stalling() {
-        // One slow worker + a long coalescing delay keeps the queue
-        // occupied; capacity 1 means the second un-drained submit in
-        // the window must bounce.
-        let batcher = Batcher::new(
-            slot(),
-            BatchConfig {
-                max_batch_items: 1000,
-                max_delay: Duration::from_secs(2),
-                queue_capacity: 1,
-                workers: 1,
-            },
-        );
-        let _rx1 = batcher.submit(vec![req(1, true)]).unwrap();
-        // The worker may pop rx1's request into its coalescing window
-        // at any moment, so allow a few attempts: at least one of the
-        // next submissions must hit the bounded-queue limit.
-        let mut saw_reject = false;
-        let mut receivers = Vec::new();
-        for i in 0..3 {
-            match batcher.submit(vec![req(10 + i, false)]) {
-                Err(RejectReason::QueueFull) => {
-                    saw_reject = true;
-                    break;
-                }
-                Ok(rx) => receivers.push(rx),
-                Err(other) => panic!("unexpected reject: {other:?}"),
-            }
+        let batcher = one_slot_queue();
+        let (_hold, rx) = overflow_round(&batcher, 1);
+        // Drain overrides the hold and scores the accepted request.
+        drop(batcher);
+        let scored = scored(rx.try_recv().expect("accepted request scored on drain"));
+        assert_eq!(scored.verdicts[0].item_id, 1);
+    }
+
+    #[test]
+    #[ignore = "200 rounds; run with --ignored"]
+    fn full_queue_rejects_on_every_round() {
+        let batcher = one_slot_queue();
+        for round in 0..200 {
+            let (hold, rx) = overflow_round(&batcher, 10 * round);
+            drop(hold);
+            let scored = scored(rx.recv_timeout(Duration::from_secs(30)).unwrap());
+            assert_eq!(scored.verdicts[0].item_id, 10 * round);
         }
-        assert!(saw_reject, "bounded queue must reject when full");
-        drop(batcher); // drain scores the accepted requests
-        for rx in receivers {
-            assert!(rx.try_recv().is_ok(), "accepted requests still get scored on drain");
+    }
+
+    /// Queues 40 requests of 8 items behind held workers, releases them
+    /// and checks that they were scored as one 320-item batch.
+    fn held_requests_ride_one_batch(batcher: &Batcher) {
+        let items = cats_obs::histogram("cats.serve.batch.items");
+        let before = items.snapshot();
+        let hold = batcher.hold_workers();
+        let receivers: Vec<_> = (0..40u64)
+            .map(|r| {
+                let request = (0..8).map(|k| req(8 * r + k, k % 2 == 0)).collect();
+                (r, batcher.submit(request).unwrap())
+            })
+            .collect();
+        assert_eq!(batcher.queue_depth(), 40);
+        drop(hold);
+        for (r, rx) in receivers {
+            let scored = scored(rx.recv_timeout(Duration::from_secs(30)).unwrap());
+            let ids: Vec<u64> = scored.verdicts.iter().map(|v| v.item_id).collect();
+            assert_eq!(ids, (8 * r..8 * r + 8).collect::<Vec<_>>(), "request {r} answered alone");
+        }
+        // The histogram is process-wide, but no other test here makes a
+        // batch in 320's bucket, (256, 512].
+        let diff = items.snapshot().diff(&before);
+        let bucket = diff.bounds.partition_point(|b| *b < 320.0);
+        assert!(diff.buckets[bucket] >= 1, "the 40 queued requests rode one batch: {diff:?}");
+    }
+
+    fn batch_of_320() -> Batcher {
+        Batcher::new(slot(), BatchConfig { max_batch_items: 320, ..BatchConfig::default() })
+    }
+
+    #[test]
+    fn requests_coalesce_only_while_workers_are_busy() {
+        held_requests_ride_one_batch(&batch_of_320());
+    }
+
+    #[test]
+    #[ignore = "200 rounds; run with --ignored"]
+    fn requests_coalesce_while_held_on_every_round() {
+        let batcher = batch_of_320();
+        for _ in 0..200 {
+            held_requests_ride_one_batch(&batcher);
         }
     }
 
     #[test]
     fn shutdown_drains_accepted_work_then_rejects() {
-        let batcher = Batcher::new(
-            slot(),
-            BatchConfig { max_delay: Duration::from_millis(200), ..BatchConfig::default() },
-        );
+        let batcher = Batcher::new(slot(), BatchConfig::default());
+        // Still queued, not popped, when the drain begins.
+        let _hold = batcher.hold_workers();
         let rx = batcher.submit(vec![req(5, true)]).unwrap();
         batcher.shutdown();
         let scored = scored(rx.recv_timeout(Duration::from_secs(30)).unwrap());
@@ -625,14 +671,7 @@ mod tests {
         let panics = cats_obs::counter("cats.serve.batch.worker_panics");
         let respawns = cats_obs::counter("cats.serve.batch.worker_respawns");
         let (panics_before, respawns_before) = (panics.get(), respawns.get());
-        let batcher = Batcher::new(
-            slot(),
-            BatchConfig {
-                workers: 1,
-                max_delay: Duration::from_millis(1),
-                ..BatchConfig::default()
-            },
-        );
+        let batcher = Batcher::new(slot(), BatchConfig { workers: 1, ..BatchConfig::default() });
         batcher.inject_worker_panic(1);
         let rx = batcher.submit(vec![req(1, true)]).unwrap();
         // The panicking iteration drops the reply sender: the caller
@@ -660,24 +699,18 @@ mod tests {
 
     #[test]
     fn pinned_requests_score_on_their_generation_even_mid_batch() {
-        // Hold a long coalescing window so pinned-v1 and pinned-v2
-        // requests land in the SAME popped batch, then verify each was
-        // answered by its own version — the zero-skew invariant the
-        // rolling swap depends on.
+        // Hold the worker so pinned-v1 and pinned-v2 requests land in
+        // the SAME popped batch, then verify each was answered by its
+        // own version — the zero-skew invariant the rolling swap
+        // depends on.
         let slot = slot();
         let snap = slot.load().pipeline.to_snapshot().to_io2_bytes().unwrap();
         slot.swap_tagged(testutil::restore(&snap, 0.0), 2);
-        let batcher = Arc::new(Batcher::new(
-            slot,
-            BatchConfig {
-                max_batch_items: 1000,
-                max_delay: Duration::from_millis(150),
-                workers: 1,
-                ..BatchConfig::default()
-            },
-        ));
+        let batcher = Batcher::new(slot, BatchConfig { workers: 1, ..BatchConfig::default() });
+        let hold = batcher.hold_workers();
         let rx1 = batcher.submit_pinned(vec![req(1, true)], Some(1)).unwrap();
         let rx2 = batcher.submit_pinned(vec![req(2, true)], Some(2)).unwrap();
+        drop(hold);
         let s1 = scored(rx1.recv_timeout(Duration::from_secs(30)).unwrap());
         let s2 = scored(rx2.recv_timeout(Duration::from_secs(30)).unwrap());
         assert_eq!(s1.model_version, 1, "pinned to the previous generation");
@@ -719,10 +752,7 @@ mod tests {
     #[test]
     fn coalesced_mixed_batch_answers_like_segmented_detect() {
         let slot = slot();
-        let batcher = Batcher::new(
-            slot.clone(),
-            BatchConfig { max_delay: Duration::from_millis(200), ..BatchConfig::default() },
-        );
+        let batcher = Batcher::new(slot.clone(), BatchConfig::default());
         let texts = |strs: &[&str]| strs.iter().map(|t| t.to_string()).collect::<Vec<_>>();
         let odd = [
             texts(&[]),
@@ -744,9 +774,12 @@ mod tests {
             }
             requests.push(items);
         }
-        // Submitted back to back, inside one coalescing window.
+        // Queued behind a held worker: the 6 requests (48 items) ride
+        // one batch.
+        let hold = batcher.hold_workers();
         let receivers: Vec<_> =
             requests.iter().map(|items| batcher.submit(items.clone()).unwrap()).collect();
+        drop(hold);
 
         let model = slot.load();
         let mut filters = std::collections::HashSet::new();

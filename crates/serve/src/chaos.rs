@@ -6,7 +6,7 @@
 //! exact same fault sequence on every run, which is what lets the
 //! `exp_soak` bench assert hard invariants (zero lost responses, zero
 //! torn snapshots swapped in, bounded respawns) instead of "it usually
-//! survives". Four fault families, matching the failure model:
+//! survives". Five fault families, matching the failure model:
 //!
 //! * **Slow-loris clients** ([`send_slow_loris`]) — dribble a partial
 //!   request head, then vanish. Bounded by the per-connection read
@@ -18,6 +18,9 @@
 //!   leave it. The watcher's checksum must reject it and keep serving.
 //! * **Scoring-worker panics** ([`crate::Batcher::inject_worker_panic`])
 //!   — supervised respawn; in-flight requests answer 500.
+//! * **Stalled scoring workers** ([`crate::Batcher::hold_workers`]) —
+//!   workers stop popping until the guard drops, so queueing,
+//!   coalescing and 429 overflow happen on cue, not by racing a worker.
 //!
 //! The RNG is a hand-rolled SplitMix64 so the crate stays `std`-only;
 //! chaos reproducibility must not depend on an external RNG crate's

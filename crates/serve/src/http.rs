@@ -20,7 +20,7 @@
 //! re-runs it at the current version). `score` and `ingest` share that
 //! mapping through one helper, `await_batch`.
 
-use crate::batcher::{BatchConfig, BatchReply, Batcher, RejectReason, ScoredBatch};
+use crate::batcher::{BatchConfig, BatchReply, Batcher, RejectReason, ScoredBatch, WorkerHold};
 use crate::listener::{write_json, write_json_error, write_response, Handler, Listener, Request};
 use crate::model::ModelSlot;
 use crate::wire::{
@@ -120,6 +120,13 @@ impl Server {
     /// sockets.
     pub fn inject_worker_panic(&self, n: u32) {
         self.shared.batcher.inject_worker_panic(n);
+    }
+
+    /// Chaos hook: holds the batch workers before they pop until the
+    /// guard drops (see [`Batcher::hold_workers`]), so requests queue
+    /// and overflow as they would behind busy workers.
+    pub fn hold_workers(&self) -> WorkerHold {
+        self.shared.batcher.hold_workers()
     }
 
     /// Graceful shutdown: stop accepting, answer everything already

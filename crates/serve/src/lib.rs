@@ -12,8 +12,10 @@
 //!    that hot-swaps `cats-cli train` output into a live server without
 //!    dropping a single in-flight request.
 //! 3. **Micro-batcher** ([`batcher`]): a bounded request queue drained
-//!    by batch workers that coalesce concurrent requests into
-//!    size/deadline-bounded batches and score them through one
+//!    by work-conserving batch workers: an idle worker scores what is
+//!    queued at once, and requests that arrive while every worker is
+//!    busy ride the next batch together, bounded in size and scored
+//!    through one
 //!    [`cats_core::CatsPipeline::detect`] call (which fans out onto the
 //!    `cats-par` pool). Queue overflow and drain are surfaced as typed
 //!    rejections, not stalls.
@@ -68,7 +70,7 @@ pub mod shard;
 pub mod wire;
 
 pub use batcher::{
-    compute_retry_after, BatchConfig, BatchReply, Batcher, RejectReason, ScoredBatch,
+    compute_retry_after, BatchConfig, BatchReply, Batcher, RejectReason, ScoredBatch, WorkerHold,
 };
 pub use chaos::{ChaosPlan, ChaosRng, Fault, TrafficTrace};
 pub use client::{ClientError, ScoreClient};

@@ -128,10 +128,6 @@ fn fingerprint(bytes: &[u8]) -> (u64, u32) {
     (bytes.len() as u64, cats_io::crc32(bytes))
 }
 
-fn read_fingerprint(path: &Path) -> Option<(u64, u32)> {
-    std::fs::read(path).ok().map(|b| fingerprint(&b))
-}
-
 /// Polls a snapshot file and hot-swaps it into a [`ModelSlot`].
 pub struct ModelWatcher {
     stop: Arc<AtomicBool>,
@@ -161,9 +157,15 @@ impl ModelWatcher {
     ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = stop.clone();
+        // The baseline is read here, before the thread starts: a rewrite
+        // that lands between spawn and the thread's first poll must
+        // still count as a change.
+        let startup = std::fs::read(&path).ok();
         let handle = std::thread::Builder::new()
             .name("cats-serve-watch".into())
-            .spawn(move || watch_loop(&slot, &path, interval, &stop_flag, last_good.as_deref()))
+            .spawn(move || {
+                watch_loop(&slot, &path, startup, interval, &stop_flag, last_good.as_deref())
+            })
             .expect("spawn model watcher");
         Self { stop, handle: Some(handle) }
     }
@@ -189,6 +191,7 @@ impl Drop for ModelWatcher {
 fn watch_loop(
     slot: &ModelSlot,
     path: &Path,
+    startup: Option<Vec<u8>>,
     interval: Duration,
     stop: &AtomicBool,
     last_good: Option<&Path>,
@@ -199,10 +202,10 @@ fn watch_loop(
     // "file was garbage" apart from "we kept serving the incumbent", so
     // every rejected rewrite also counts as a rollback to the old model.
     let rollbacks = cats_obs::counter("cats.serve.model.watcher_rollbacks");
-    let mut last = read_fingerprint(path);
+    let mut last = startup.as_deref().map(fingerprint);
     // Seed the last-good mirror from the startup snapshot so a restart
     // has a fallback even if the primary is never rewritten again.
-    if let (Some(lg), Ok(bytes)) = (last_good, std::fs::read(path)) {
+    if let (Some(lg), Some(bytes)) = (last_good, startup) {
         if PipelineSnapshot::from_bytes(&bytes).is_ok() {
             if let Err(e) = cats_io::atomic_write(lg, &bytes) {
                 eprintln!("cats-serve: last-good mirror write failed: {e}");
@@ -378,25 +381,23 @@ mod tests {
         assert!(slot.load_version(9).is_some());
     }
 
-    #[test]
-    fn watcher_hot_swaps_each_rewrite_and_scores_identically() {
-        // The snapshot file is rewritten twice with different contents
-        // (the detector threshold differs; the classifier does not). Each
-        // rewrite must swap, and every loaded generation must score
-        // bit-identically to the in-memory pipeline.
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("cats_serve_rewrite_{}.cats", std::process::id()));
-        let pipeline = testutil::trained(0.0);
-        let snap = pipeline.to_snapshot().to_io2_bytes().unwrap();
-        let mut shifted = PipelineSnapshot::from_bytes(&snap).unwrap();
-        shifted.detector_config.threshold = 0.6;
-        let shifted = shifted.to_io2_bytes().unwrap();
-        std::fs::write(&path, &snap).unwrap();
-
+    /// Writes `snap` (the snapshot of `pipeline`) to `path`, spawns a
+    /// watcher and at once rewrites the file twice with different
+    /// contents (the detector threshold differs; the classifier does
+    /// not). Each rewrite must swap, and every loaded generation must
+    /// score bit-identically to the in-memory pipeline.
+    fn rewrites_right_after_spawn_swap(
+        path: &Path,
+        pipeline: CatsPipeline,
+        snap: &[u8],
+        shifted: &[u8],
+    ) {
+        cats_io::atomic_write(path, snap).unwrap();
         let item = [testutil::fraud_item(9)];
         let expect = pipeline.detect(&item, &[50])[0].score;
         let slot = Arc::new(ModelSlot::new(pipeline));
-        let watcher = ModelWatcher::spawn(slot.clone(), path.clone(), Duration::from_millis(10));
+        let watcher =
+            ModelWatcher::spawn(slot.clone(), path.to_path_buf(), Duration::from_millis(10));
 
         let wait_for = |v: u64| {
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -406,14 +407,44 @@ mod tests {
             assert!(slot.version() >= v, "expected swap to v{v}, at v{}", slot.version());
         };
 
-        for (v, bytes) in [(2, &shifted), (3, &snap)] {
-            cats_io::atomic_write(&path, bytes).unwrap();
+        for (v, bytes) in [(2, shifted), (3, snap)] {
+            cats_io::atomic_write(path, bytes).unwrap();
             wait_for(v);
             let got = slot.load().pipeline.detect(&item, &[50])[0].score;
             assert_eq!(got.to_bits(), expect.to_bits(), "v{v} must score identically");
         }
-
         watcher.stop();
+    }
+
+    /// A trained pipeline, its snapshot and a copy of that with a
+    /// shifted threshold.
+    fn snapshot_pair() -> (CatsPipeline, Vec<u8>, Vec<u8>) {
+        let pipeline = testutil::trained(0.0);
+        let snap = pipeline.to_snapshot().to_io2_bytes().unwrap();
+        let mut shifted = PipelineSnapshot::from_bytes(&snap).unwrap();
+        shifted.detector_config.threshold = 0.6;
+        (pipeline, snap, shifted.to_io2_bytes().unwrap())
+    }
+
+    #[test]
+    fn watcher_hot_swaps_each_rewrite_and_scores_identically() {
+        let path =
+            std::env::temp_dir().join(format!("cats_serve_rewrite_{}.cats", std::process::id()));
+        let (pipeline, snap, shifted) = snapshot_pair();
+        rewrites_right_after_spawn_swap(&path, pipeline, &snap, &shifted);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    #[ignore = "200 rounds; run with --ignored"]
+    fn watcher_swaps_a_rewrite_made_right_after_spawn_every_time() {
+        let path = std::env::temp_dir()
+            .join(format!("cats_serve_rewrite_loop_{}.cats", std::process::id()));
+        let (_, snap, shifted) = snapshot_pair();
+        for _ in 0..200 {
+            let pipeline = testutil::restore(&snap, 0.0);
+            rewrites_right_after_spawn_swap(&path, pipeline, &snap, &shifted);
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -18,8 +18,8 @@ use cats::platform::comment_model::{generate_comment, CommentStyle};
 use cats::platform::datasets;
 use cats::serve::wire::filter_str;
 use cats::serve::{
-    BatchConfig, ChaosRng, HealthConfig, ModelSlot, Router, RouterConfig, ScoreClient, ScoreItem,
-    ScoreRequest, ScoreResponse, ServeConfig, Server,
+    ChaosRng, HealthConfig, ModelSlot, Router, RouterConfig, ScoreClient, ScoreItem, ScoreRequest,
+    ScoreResponse, ServeConfig, Server,
 };
 use rand::{rngs::StdRng, SeedableRng};
 use std::io::{Read, Write};
@@ -111,14 +111,7 @@ fn start_shards(n: usize) -> Vec<Server> {
             let slot = Arc::new(ModelSlot::new(restore(&setup().snapshot)));
             Server::start(
                 slot,
-                ServeConfig {
-                    addr: "127.0.0.1:0".into(),
-                    batch: BatchConfig {
-                        max_delay: Duration::from_millis(2),
-                        ..BatchConfig::default()
-                    },
-                    ..ServeConfig::default()
-                },
+                ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() },
             )
             .expect("bind shard server")
         })

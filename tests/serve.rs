@@ -161,10 +161,9 @@ fn concurrent_clients_get_bit_identical_scores() {
 
 #[test]
 fn hot_swap_under_load_drops_nothing_and_scores_stay_coherent() {
-    // Aggressive batching so swaps land between and inside coalescing
-    // windows while requests are continuously in flight.
-    let (server, slot) =
-        start(BatchConfig { max_delay: Duration::from_millis(5), ..BatchConfig::default() });
+    // Swaps land between and during batches while requests are
+    // continuously in flight.
+    let (server, slot) = start(BatchConfig::default());
     let addr = server.addr().to_string();
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
@@ -238,47 +237,59 @@ fn hot_swap_under_load_drops_nothing_and_scores_stay_coherent() {
 
 #[test]
 fn queue_overflow_answers_429_quickly_instead_of_stalling() {
-    // queue_capacity 1 + a long coalescing window + one worker: most of
-    // the concurrent submissions below must bounce with 429.
-    let (server, _slot) = start(BatchConfig {
-        max_batch_items: 10_000,
-        max_delay: Duration::from_millis(500),
-        queue_capacity: 1,
-        workers: 1,
-    });
+    // queue_capacity 1 behind a held worker: the one request that
+    // queues cannot be popped, so the other concurrent submissions
+    // below must bounce with 429.
+    let (server, _slot) =
+        start(BatchConfig { queue_capacity: 1, workers: 1, ..BatchConfig::default() });
     let addr = server.addr().to_string();
+    let hold = server.hold_workers();
     let t0 = Instant::now();
+    let (tx, outcomes) = std::sync::mpsc::channel();
     let handles: Vec<_> = (0..8)
         .map(|i| {
-            let addr = addr.clone();
+            let (addr, tx) = (addr.clone(), tx.clone());
             std::thread::spawn(move || {
                 let s = setup();
                 let client = ScoreClient::new(addr).with_timeout(Duration::from_secs(30));
-                match client.score(&s.items[i..=i]) {
+                let outcome = match client.score(&s.items[i..=i]) {
                     Ok(resp) => {
                         assert_matches_expected(&resp.verdicts, i);
                         Ok(())
                     }
                     Err(ClientError::Http { status, body }) => Err((status, body)),
                     Err(other) => panic!("overload must not break sockets: {other}"),
-                }
+                };
+                tx.send(outcome).expect("collector alive");
             })
         })
         .collect();
+    drop(tx);
     let mut accepted = 0;
     let mut rejected = 0;
-    for h in handles {
-        match h.join().expect("probe thread") {
-            Ok(()) => accepted += 1,
-            Err((status, body)) => {
-                assert_eq!(status, 429, "overflow maps to 429, got {status}: {body}");
-                assert!(body.contains("retry"), "429 body explains itself: {body}");
-                rejected += 1;
-            }
+    let mut tally = |outcome: Result<(), (u16, String)>| match outcome {
+        Ok(()) => accepted += 1,
+        Err((status, body)) => {
+            assert_eq!(status, 429, "overflow maps to 429, got {status}: {body}");
+            assert!(body.contains("retry"), "429 body explains itself: {body}");
+            rejected += 1;
         }
+    };
+    // Seven answers arrive while the worker is held: they are the 429s.
+    for _ in 0..7 {
+        tally(outcomes.recv_timeout(Duration::from_secs(30)).expect("rejects answer while held"));
+    }
+    assert_eq!(server.queue_depth(), 1, "one request queued behind the held worker");
+    drop(hold);
+    for outcome in outcomes.iter() {
+        tally(outcome);
+    }
+    for h in handles {
+        h.join().expect("probe thread");
     }
     assert!(accepted >= 1, "the queued request is still served");
     assert!(rejected >= 1, "a 1-slot queue cannot absorb 8 concurrent requests");
+    assert_eq!((accepted, rejected), (1, 7), "exactly the queued request is served");
     assert!(t0.elapsed() < Duration::from_secs(20), "overload must resolve fast, not stall");
     server.shutdown();
 }
