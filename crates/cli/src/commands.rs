@@ -734,7 +734,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_train_is_deterministic_and_clears_its_slots() {
+    fn checkpointed_train_matches_plain_train_and_clears_its_slots() {
         let mut data = Vec::new();
         generate(0.004, 9, &mut data).unwrap();
         let dir = cats_io::ScratchDir::new("cats_cli_ckpt");
@@ -743,11 +743,11 @@ mod tests {
         for slot in ["w2v", "analyzer", "gbt"] {
             assert!(store.load(slot).is_none(), "{slot} slot cleared on success");
         }
-        let (b, _) = train(&mut BufReader::new(data.as_slice()), 0.5, 9, Some(&store)).unwrap();
+        let (b, _) = train(&mut BufReader::new(data.as_slice()), 0.5, 9, None).unwrap();
         assert_eq!(
             a.to_io2_bytes().unwrap(),
             b.to_io2_bytes().unwrap(),
-            "checkpointed training is deterministic"
+            "a checkpoint store must not change the model"
         );
     }
 

@@ -36,7 +36,7 @@ pub const VELOCITY_FEATURE_NAMES: [&str; N_VELOCITY_FEATURES] = [
 ];
 
 /// One item's velocity feature row at some instant of the stream clock.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct VelocityFeatures(pub [f64; N_VELOCITY_FEATURES]);
 
 impl VelocityFeatures {

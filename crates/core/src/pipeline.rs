@@ -12,7 +12,6 @@ use crate::features::{DetectItem, ItemComments};
 use crate::semantic::{SemanticAnalyzer, SemanticConfig};
 use cats_ml::metrics::BinaryMetrics;
 use cats_par::Parallelism;
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Pipeline construction knobs.
@@ -59,10 +58,10 @@ impl CatsPipeline {
     /// resumed model is bit-identical to one trained without
     /// interruption. Checkpoints from other inputs or configs are detected
     /// by fingerprint and ignored; all slots are cleared once training
-    /// completes. Checkpointed word2vec always runs its sharded schedule,
-    /// which corpora below the sharding size (4,096 sentences) otherwise
-    /// skip, so on those a store changes the model; on larger corpora it
-    /// only adds resumability.
+    /// completes. A store never changes the model. Word2vec saves epochs
+    /// only on corpora of at least 4,096 sentences, where it runs its
+    /// sharded schedule; a kill during a smaller corpus's word2vec
+    /// retrains it from epoch zero.
     #[allow(clippy::too_many_arguments)]
     pub fn train(
         corpus_texts: &[&str],
@@ -181,7 +180,7 @@ impl CatsPipeline {
 /// items" and separately for "fraud items labeled with sufficient
 /// evidences" (recall restricted to that slice; precision is shared
 /// because the detector emits one report list).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvaluationSlices {
     /// Metrics against all fraud labels.
     pub overall: BinaryMetrics,
@@ -193,7 +192,7 @@ pub struct EvaluationSlices {
 
 /// Label provenance for slicing (mirrors `cats_platform::ItemLabel`
 /// without depending on the platform crate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LabelKind {
     /// Fraud backed by transaction evidence.
     FraudSufficient,
@@ -403,9 +402,10 @@ impl From<cats_io::IoError> for PersistError {
     }
 }
 
-/// Newest snapshot format this build writes (and the highest it reads),
-/// stored in the `meta` section of every snapshot container.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
+/// The snapshot format this build writes and the only one it reads,
+/// stored in the `meta` section of every snapshot container. Format 3
+/// holds no JSON: the `detector` and `gbt` sections are IO2 fields.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
 /// Snapshot of a trained pipeline, persisted as a `CATS-IO2` container.
 /// [`CatsPipeline::to_snapshot`] takes one; [`CatsPipeline::restore`]
@@ -434,33 +434,28 @@ impl PipelineSnapshot {
 
     /// Encodes the snapshot as a `CATS-IO2` container: a `meta` section
     /// carrying the snapshot format version, the detector configuration
-    /// as a small JSON section, the lexicon as sorted length-prefixed
-    /// word lists, and the sentiment and GBT models as flat binary
-    /// arrays. The encoding is canonical: decoding and re-encoding
-    /// reproduces the bytes exactly.
+    /// (`u64` minimum sales volume, `u8` evidence rule, `f64` threshold),
+    /// the lexicon as sorted length-prefixed word lists, and the
+    /// sentiment and GBT models as flat binary arrays. The encoding is
+    /// canonical: decoding and re-encoding reproduces the bytes exactly.
+    /// It cannot fail; the `Result` is kept for callers that match on it.
     pub fn to_io2_bytes(&self) -> Result<Vec<u8>, PersistError> {
-        Ok(self.io2_builder()?.finish())
-    }
-
-    fn io2_builder(&self) -> Result<cats_io::io2::Io2Builder, PersistError> {
         use cats_io::io2::{Enc, Io2Builder};
         let mut meta = Enc::new();
         meta.u32(self.format_version);
 
-        let detector = serde_json::to_vec(&self.detector_config)
-            .map_err(|e| PersistError::Format(format!("model: detector config: {e}")))?;
+        let d = &self.detector_config;
+        let mut detector = Enc::new();
+        detector.u64(d.min_sales_volume).u8(d.require_positive_evidence.into()).f64(d.threshold);
 
         let (lexicon, sentiment) = self.analyzer.to_io2_sections();
 
-        let gbt =
-            self.gbt.to_io2_bytes().map_err(|e| PersistError::Format(format!("model: {e}")))?;
-
         let mut b = Io2Builder::new();
         b.section("meta", meta.into_bytes());
-        b.section("detector", detector);
+        b.section("detector", detector.into_bytes());
         b.section("lexicon", lexicon);
         b.section("sentiment", sentiment);
-        b.section("gbt", gbt);
+        b.section("gbt", self.gbt.to_io2_bytes());
         // Optional trailing section: emitted only when present, so
         // reference-less snapshots keep their exact pre-drift byte
         // layout (the canonical-encoding property).
@@ -473,14 +468,14 @@ impl PipelineSnapshot {
             }
             b.section("featref", enc.into_bytes());
         }
-        Ok(b)
+        Ok(b.finish())
     }
 
     /// Decodes a `CATS-IO2` snapshot container, the one snapshot
     /// encoding. Section CRCs are verified by the container parser;
     /// unknown sections from future writers are skipped, and a `meta`
-    /// format version newer than this build understands is rejected up
-    /// front. Any input yields a snapshot or a typed [`PersistError`]:
+    /// format version other than [`SNAPSHOT_FORMAT_VERSION`] is rejected
+    /// up front. Any input yields a snapshot or a typed [`PersistError`]:
     /// every length and count is checked against the bytes present
     /// before it sizes an allocation, and every section must be consumed
     /// exactly.
@@ -492,18 +487,31 @@ impl PipelineSnapshot {
         let mut meta = Dec::new(file.require("meta", "snapshot")?);
         let format_version = meta.u32().map_err(fmt)?;
         trailing(&meta, "meta")?;
-        if format_version > SNAPSHOT_FORMAT_VERSION {
+        if format_version != SNAPSHOT_FORMAT_VERSION {
+            let age = if format_version > SNAPSHOT_FORMAT_VERSION { "newer" } else { "older" };
             return Err(PersistError::Format(format!(
-                "model: snapshot format {format_version} is newer than supported \
+                "model: snapshot format {format_version} is {age} than supported \
                  {SNAPSHOT_FORMAT_VERSION}"
             )));
         }
 
-        let detector_config: DetectorConfig =
-            serde_json::from_slice(file.require("detector", "snapshot")?)
-                .map_err(|e| PersistError::Format(format!("model: detector config: {e}")))?;
-        DetectorConfig::check_threshold(detector_config.threshold)
+        let mut d = Dec::new(file.require("detector", "snapshot")?);
+        let min_sales_volume = d.u64().map_err(fmt)?;
+        let require_positive_evidence = match d.u8().map_err(fmt)? {
+            0 => false,
+            1 => true,
+            b => return Err(PersistError::Format(format!("model: detector rule flag {b}"))),
+        };
+        let threshold = d.f64().map_err(fmt)?;
+        trailing(&d, "detector")?;
+        DetectorConfig::check_threshold(threshold)
             .map_err(|e| PersistError::Format(format!("model: detector {e}")))?;
+        let detector_config = DetectorConfig {
+            min_sales_volume,
+            require_positive_evidence,
+            threshold,
+            parallelism: Parallelism::default(),
+        };
 
         let analyzer = SemanticAnalyzer::from_io2_sections(
             file.require("lexicon", "snapshot")?,
@@ -559,7 +567,7 @@ impl PipelineSnapshot {
     /// catch truncation, torn rewrites and bit flips at load instead of
     /// producing a silently wrong model.
     pub fn save(&self, path: &Path) -> Result<(), PersistError> {
-        self.io2_builder()?.write(path)?;
+        cats_io::atomic_write(path, &self.to_io2_bytes()?)?;
         Ok(())
     }
 
@@ -794,13 +802,54 @@ mod tests {
         let back = PipelineSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(back.format_version, SNAPSHOT_FORMAT_VERSION);
 
-        // Future formats are rejected up front.
-        let mut future = snap;
-        future.format_version = SNAPSHOT_FORMAT_VERSION + 1;
-        let err = PipelineSnapshot::from_bytes(&future.to_io2_bytes().unwrap())
-            .err()
-            .expect("future format must be rejected");
-        assert!(err.to_string().contains("newer than supported"), "{err}");
+        // Every other format is rejected up front, by name: a future one
+        // and format 2, whose `detector` and `gbt` sections held JSON.
+        let mut other = snap;
+        for (version, age) in [(SNAPSHOT_FORMAT_VERSION + 1, "newer"), (2, "older")] {
+            other.format_version = version;
+            match PipelineSnapshot::from_bytes(&other.to_io2_bytes().unwrap()) {
+                Err(PersistError::Format(msg)) => assert!(
+                    msg.contains(&format!("snapshot format {version} is {age} than supported")),
+                    "{msg}"
+                ),
+                Err(e) => panic!("format {version}: not a format error: {e}"),
+                Ok(_) => panic!("format {version} decoded"),
+            }
+        }
+    }
+
+    #[test]
+    fn detector_section_is_three_fields_and_rejects_a_non_boolean_rule_flag() {
+        let mut snap = trained().to_snapshot();
+        snap.detector_config = DetectorConfig {
+            min_sales_volume: 9,
+            require_positive_evidence: false,
+            ..snap.detector_config
+        };
+        let bytes = snap.to_io2_bytes().unwrap();
+        let file = cats_io::io2::Io2File::parse(&bytes, "t").unwrap();
+        let detector = file.section("detector").unwrap();
+        let mut want = 9u64.to_le_bytes().to_vec();
+        want.push(0);
+        want.extend_from_slice(&snap.detector_config.threshold.to_le_bytes());
+        assert_eq!(detector, want.as_slice());
+        let back = PipelineSnapshot::from_bytes(&bytes).unwrap().detector_config;
+        assert_eq!((back.min_sales_volume, back.require_positive_evidence), (9, false));
+
+        let mut sections: Vec<(String, Vec<u8>)> = file
+            .section_names()
+            .map(|n| (n.to_owned(), file.section(n).unwrap().to_vec()))
+            .collect();
+        sections.iter_mut().find(|(n, _)| n == "detector").unwrap().1[8] = 2;
+        let mut b = cats_io::io2::Io2Builder::new();
+        for (name, payload) in sections {
+            b.section(&name, payload);
+        }
+        match PipelineSnapshot::from_bytes(&b.finish()) {
+            Err(PersistError::Format(msg)) => assert!(msg.contains("rule flag 2"), "{msg}"),
+            Err(e) => panic!("not a format error: {e}"),
+            Ok(_) => panic!("a rule flag of 2 decoded"),
+        }
     }
 
     #[test]
@@ -979,40 +1028,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_train_survives_kill_and_matches_uninterrupted() {
-        let texts = corpus();
-        let dir = cats_io::ScratchDir::new("cats_pipeline_ckpt");
-        let store = cats_io::CheckpointStore::open(&*dir).expect("open checkpoint store");
-        let run = |store| train_on(&texts, Some(store), PipelineConfig::default());
-
-        let uninterrupted = run(&store);
-
-        // Kill the second run mid-word2vec (after its 2nd epoch save),
-        // then resume; the result must match bit for bit.
-        store.kill_after_saves(2);
-        let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&store)));
-        assert!(killed.is_err(), "simulated kill fires");
-        let resumed = run(&store);
-
-        assert_eq!(
-            uninterrupted.analyzer().to_io2_sections(),
-            resumed.analyzer().to_io2_sections(),
-            "resumed analyzer must be byte-identical"
-        );
-        let items = vec![fraud_item(77), normal_item(77), fraud_item(5)];
-        let a = uninterrupted.detect(&items, &[50, 50, 50]);
-        let b = resumed.detect(&items, &[50, 50, 50]);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.score.to_bits(), y.score.to_bits(), "scores must be bit-identical");
-            assert_eq!(x.is_fraud, y.is_fraud);
-        }
-        // The store is fully drained after a successful run.
-        assert!(store.load("w2v").is_none());
-        assert!(store.load("analyzer").is_none());
-        assert!(store.load("gbt").is_none());
-    }
-
-    #[test]
     fn analyzer_slot_resumes_when_intact_and_is_ignored_when_damaged_or_foreign() {
         let texts = corpus();
         let config = PipelineConfig::default();
@@ -1070,13 +1085,12 @@ mod tests {
     }
 
     #[test]
-    fn a_store_only_adds_resumability_on_a_sharded_corpus() {
-        // 4,200 sentences: at or above word2vec's sharding size, where the
-        // checkpointed and plain schedules are the same.
-        let mut texts = corpus();
-        while texts.len() < 4_200 {
-            texts.extend_from_within(..750.min(4_200 - texts.len()));
-        }
+    fn a_store_never_changes_the_model_and_a_killed_run_resumes_bit_identical() {
+        // 750 and 4,200 sentences: either side of word2vec's sharding
+        // size (4,096). The kill fires after the 2nd save: on the smaller
+        // corpus, which saves no word2vec epoch, that is the first GBT
+        // round checkpoint after the analyzer slot; on the larger one, a
+        // word2vec epoch, so only its resume skips epochs.
         let config = PipelineConfig {
             semantic: SemanticConfig {
                 word2vec: cats_embedding::Word2VecConfig {
@@ -1088,10 +1102,28 @@ mod tests {
             },
             ..PipelineConfig::default()
         };
-        let dir = cats_io::ScratchDir::new("cats_pipeline_sharded");
-        let store = cats_io::CheckpointStore::open(&*dir).expect("open checkpoint store");
-        let plain = train_on(&texts, None, config);
-        let checkpointed = train_on(&texts, Some(&store), config);
-        assert_eq!(snapshot_bytes(&plain), snapshot_bytes(&checkpointed));
+        let resumed_epochs = cats_obs::counter("cats.embedding.w2v.resumed_epochs");
+        for (sentences, resumes_epochs) in [(750, false), (4_200, true)] {
+            let mut texts = corpus();
+            while texts.len() < sentences {
+                texts.extend_from_within(..750.min(sentences - texts.len()));
+            }
+            let dir = cats_io::ScratchDir::new(&format!("cats_pipeline_store_{sentences}"));
+            let store = cats_io::CheckpointStore::open(&*dir).expect("open checkpoint store");
+            let plain = snapshot_bytes(&train_on(&texts, None, config));
+            let checkpointed = snapshot_bytes(&train_on(&texts, Some(&store), config));
+            assert_eq!(plain, checkpointed, "{sentences} sentences: a store changed the model");
+
+            store.kill_after_saves(2);
+            let run = || train_on(&texts, Some(&store), config);
+            let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+            assert!(killed.is_err(), "{sentences} sentences: simulated kill fires");
+            let before = resumed_epochs.get();
+            assert_eq!(snapshot_bytes(&run()), plain, "{sentences} sentences: resumed model");
+            assert_eq!(resumed_epochs.get() > before, resumes_epochs, "{sentences} sentences");
+            for slot in ["w2v", "analyzer", "gbt"] {
+                assert!(store.load(slot).is_none(), "{sentences} sentences: {slot} drained");
+            }
+        }
     }
 }

@@ -145,11 +145,9 @@ impl SemanticAnalyzer {
 
     /// [`SemanticAnalyzer::train`], with the word2vec epochs — by far the
     /// dominant cost — checkpointing into `ckpt` under the `"w2v"` stage
-    /// when a store is given. Checkpointed word2vec always runs the
-    /// deterministic sharded schedule (see
-    /// [`Word2VecTrainer::train_checkpointed`]), so on corpora below its
-    /// sharding size a store changes the embedding; everything
-    /// downstream of it is deterministic.
+    /// when a store is given (see
+    /// [`Word2VecTrainer::train_checkpointed`]). The analyzer is the same
+    /// with or without a store.
     pub(crate) fn train_impl<'a>(
         comment_texts: &[&str],
         positive_seeds: &[String],

@@ -13,15 +13,19 @@
 //!
 //! - **Serial** — corpora of fewer than `DET_MIN_SENTENCES` sentences:
 //!   the historical reference loop, one RNG stream across all epochs.
-//! - **Sharded** — larger corpora, and every checkpointed run: each
-//!   epoch snapshots the weights, trains a *fixed* number of contiguous
-//!   sentence shards independently (per-shard RNG seeded from
-//!   `(seed, epoch, shard)`), then merges each shard's delta against the
-//!   snapshot back into the shared weights in shard order behind the
-//!   epoch barrier. The schedule is a pure function of corpus and seed, so
-//!   results are identical at every thread count — including one;
+//! - **Sharded** — larger corpora: each epoch snapshots the weights,
+//!   trains a *fixed* number of contiguous sentence shards
+//!   independently (per-shard RNG seeded from `(seed, epoch, shard)`),
+//!   then merges each shard's delta against the snapshot back into the
+//!   shared weights in shard order behind the epoch barrier. The
+//!   schedule is a pure function of corpus and seed, so results are
+//!   identical at every thread count — including one;
 //!   [`Word2VecConfig::parallelism`] only sets how many shards train at
 //!   once.
+//!
+//! A checkpoint store never changes the vectors. A sharded run saves its
+//! weights after every epoch; a serial run saves nothing, because its one
+//! RNG stream spans all epochs, so a kill retrains it from epoch zero.
 //!
 //! Both run one SGNS step, `sgns_update`, on row slices of the weight
 //! matrices, and draw negatives from the unigram table stored as runs
@@ -32,10 +36,10 @@
 //! queries ([`Embedding::nearest_to_vector`], what seed expansion calls
 //! per frontier word) take one dot product per row.
 
+use cats_io::io2::{Dec, Enc};
 use cats_par::Parallelism;
 use cats_text::{Corpus, TokenId, Vocab};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 #[cfg(test)]
 mod oracle;
@@ -248,17 +252,14 @@ impl Word2VecTrainer {
         self.train_impl(corpus, None)
     }
 
-    /// Trains on `corpus` with crash recovery: after every epoch the
-    /// weights are checkpointed into `store` under `stage`, and a rerun
-    /// after a crash resumes from the last completed epoch instead of
-    /// epoch zero. Because per-epoch state is only well defined under the
-    /// sharded schedule (per-`(epoch, shard)` RNG streams — the serial
-    /// schedule threads one RNG across all epochs), this entry point
-    /// always runs that schedule, regardless of corpus size. The result is
-    /// therefore bit-identical whether training ran straight through or
-    /// was killed and resumed any number of times. The checkpoint is
-    /// cleared on successful completion; a checkpoint whose config or
-    /// corpus fingerprint does not match is ignored.
+    /// Trains on `corpus` with crash recovery, returning exactly what
+    /// [`Word2VecTrainer::train`] returns. On the sharded schedule the
+    /// weights are checkpointed into `store` under `stage` after every
+    /// epoch; a rerun after a crash resumes from the last completed epoch
+    /// instead of epoch zero, and a completed run clears the slot. A slot
+    /// whose config or corpus fingerprint does not match is ignored. The
+    /// serial schedule neither reads nor writes `store` (see the module
+    /// docs).
     pub fn train_checkpointed(
         &self,
         corpus: &Corpus,
@@ -304,9 +305,7 @@ impl Word2VecTrainer {
             sigmoid: &sigmoid,
             total_tokens: (corpus.token_count() * cfg.epochs).max(1) as f64,
         };
-        // Checkpointed training is pinned to the sharded schedule (see
-        // `train_checkpointed`), whatever the corpus size.
-        if ckpt.is_some() || corpus.len() >= DET_MIN_SENTENCES {
+        if corpus.len() >= DET_MIN_SENTENCES {
             train_sharded(&ctx, corpus, &mut syn0, &mut syn1, ckpt);
         } else {
             train_serial(&ctx, corpus, &mut syn0, &mut syn1, &mut rng);
@@ -364,12 +363,10 @@ fn lr_at(cfg: &Word2VecConfig, done: u64, total: f64) -> f32 {
 
 /// SplitMix64-style hash decorrelating per-shard RNG streams.
 fn shard_seed(seed: u64, epoch: usize, shard: usize) -> u64 {
-    let mut z = seed
-        .wrapping_add((epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add((shard as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    cats_obs::mix64(
+        seed.wrapping_add((epoch as u64).wrapping_mul(cats_obs::GOLDEN_GAMMA))
+            .wrapping_add((shard as u64).wrapping_mul(0xD1B5_4A32_D192_ED03)),
+    )
 }
 
 /// Trains one sentence against the weight matrices. The RNG draw order
@@ -474,19 +471,27 @@ fn record_epoch(residual: f64, pairs: u64) {
     }
 }
 
-/// Persisted end-of-epoch state of a checkpointed sharded run. The
-/// weights after epoch `e` are a pure function of (corpus, config), so
-/// restoring them and continuing from epoch `e + 1` reproduces an
-/// uninterrupted run bit for bit (serde_json round-trips `f32` exactly).
-#[derive(Serialize, Deserialize)]
-struct EpochCheckpoint {
-    /// CRC over the training config and corpus shape; a mismatch means
-    /// the checkpoint belongs to some other run and must be ignored.
-    fingerprint: u32,
-    /// Epochs fully completed (resume starts at this epoch index).
-    epochs_done: usize,
-    syn0: Vec<f32>,
-    syn1: Vec<f32>,
+/// A sharded run's end-of-epoch checkpoint slot: the run's
+/// [`ckpt_fingerprint`], the epochs completed, then `syn0` and `syn1` as
+/// IO2 `f32` arrays. The weights after epoch `e` are a pure function of
+/// (corpus, config), so restoring them and continuing from epoch `e + 1`
+/// reproduces an uninterrupted run bit for bit.
+fn encode_checkpoint(fingerprint: u32, epochs_done: usize, syn0: &[f32], syn1: &[f32]) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u32(fingerprint).u64(epochs_done as u64).f32s(syn0).f32s(syn1);
+    e.into_bytes()
+}
+
+/// Decodes [`encode_checkpoint`], which must be consumed exactly.
+fn decode_checkpoint(bytes: &[u8]) -> Result<(u32, usize, Vec<f32>, Vec<f32>), String> {
+    let mut d = Dec::new(bytes);
+    let fingerprint = d.u32()?;
+    let epochs_done = usize::try_from(d.u64()?).map_err(|e| e.to_string())?;
+    let (syn0, syn1) = (d.f32s()?, d.f32s()?);
+    if d.remaining() != 0 {
+        return Err(format!("{} trailing bytes after w2v checkpoint", d.remaining()));
+    }
+    Ok((fingerprint, epochs_done, syn0, syn1))
 }
 
 /// Fingerprint tying a checkpoint to one (config, corpus) pair. The
@@ -546,16 +551,16 @@ fn train_sharded(
     let mut start_epoch = 0usize;
     if let (Some((store, stage)), Some(fp)) = (ckpt, fingerprint) {
         if let Some(bytes) = store.load(stage) {
-            match serde_json::from_slice::<EpochCheckpoint>(&bytes) {
-                Ok(c)
-                    if c.fingerprint == fp
-                        && c.epochs_done <= cfg.epochs
-                        && c.syn0.len() == syn0.len()
-                        && c.syn1.len() == syn1.len() =>
+            match decode_checkpoint(&bytes) {
+                Ok((saved_fp, epochs_done, saved0, saved1))
+                    if saved_fp == fp
+                        && epochs_done <= cfg.epochs
+                        && saved0.len() == syn0.len()
+                        && saved1.len() == syn1.len() =>
                 {
-                    syn0.copy_from_slice(&c.syn0);
-                    syn1.copy_from_slice(&c.syn1);
-                    start_epoch = c.epochs_done;
+                    syn0.copy_from_slice(&saved0);
+                    syn1.copy_from_slice(&saved1);
+                    start_epoch = epochs_done;
                     cats_obs::counter("cats.embedding.w2v.resumed_epochs").add(start_epoch as u64);
                 }
                 _ => {
@@ -604,21 +609,10 @@ fn train_sharded(
         }
         record_epoch(epoch_residual, epoch_pairs);
         if let (Some((store, stage)), Some(fp)) = (ckpt, fingerprint) {
-            let state = EpochCheckpoint {
-                fingerprint: fp,
-                epochs_done: epoch + 1,
-                syn0: syn0.to_vec(),
-                syn1: syn1.to_vec(),
-            };
-            match serde_json::to_vec(&state) {
-                // A failed save costs the resume point, not the training
-                // run; the next epoch's save retries from scratch.
-                Ok(bytes) => {
-                    if let Err(e) = store.save(stage, &bytes) {
-                        eprintln!("cats-embedding: w2v checkpoint save failed ({stage}): {e}");
-                    }
-                }
-                Err(e) => eprintln!("cats-embedding: w2v checkpoint encode failed ({stage}): {e}"),
+            // A failed save costs the resume point, not the training run;
+            // the next epoch's save retries from scratch.
+            if let Err(e) = store.save(stage, &encode_checkpoint(fp, epoch + 1, syn0, syn1)) {
+                eprintln!("cats-embedding: w2v checkpoint save failed ({stage}): {e}");
             }
         }
         drop(epoch_span);
@@ -960,32 +954,45 @@ mod tests {
         (dir, store)
     }
 
-    #[test]
-    fn checkpointed_is_deterministic_and_clears_its_slot() {
-        let corpus = clustered_corpus(60);
-        let cfg = Word2VecConfig { parallelism: Parallelism::serial(), ..small_cfg() };
-        let (_dir, store) = ckpt_store("clean");
-        let baseline = Word2VecTrainer::new(cfg).train_checkpointed(&corpus, &store, "w2v");
-        // Slot must be gone after a completed run.
-        assert!(store.load("w2v").is_none(), "checkpoint cleared on completion");
-        let again = Word2VecTrainer::new(cfg).train_checkpointed(&corpus, &store, "w2v");
-        assert_eq!(baseline.vector("apple"), again.vector("apple"));
-        assert_eq!(baseline.vector("bolt"), again.vector("bolt"));
-        assert!(baseline.vector("apple").is_some());
+    /// A corpus at word2vec's sharding size and a config small enough to
+    /// train it quickly in a debug build.
+    fn sharded_case() -> (Corpus, Word2VecConfig) {
+        let cfg =
+            Word2VecConfig { dim: 4, epochs: 2, parallelism: Parallelism::serial(), ..small_cfg() };
+        (clustered_corpus(DET_MIN_SENTENCES / 2), cfg)
+    }
+
+    fn assert_same_vectors(a: &Embedding, b: &Embedding, what: &str) {
+        let bits = |e: &Embedding| e.vectors.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{what}: vectors differ");
     }
 
     #[test]
-    fn killed_run_resumes_bit_identical() {
-        let corpus = clustered_corpus(60);
-        let cfg = Word2VecConfig { parallelism: Parallelism::serial(), ..small_cfg() };
+    fn a_store_changes_no_vectors_and_a_serial_run_saves_nothing() {
+        let serial = (clustered_corpus(60), small_cfg());
+        for (name, (corpus, cfg)) in [("serial", serial), ("sharded", sharded_case())] {
+            let trainer = Word2VecTrainer::new(cfg);
+            let (_dir, store) = ckpt_store(name);
+            if name == "serial" {
+                // Any save would fire the kill switch.
+                store.kill_after_saves(1);
+            }
+            let checkpointed = trainer.train_checkpointed(&corpus, &store, "w2v");
+            assert_same_vectors(&trainer.train(&corpus), &checkpointed, name);
+            assert!(store.load("w2v").is_none(), "{name}: no slot left behind");
+            assert!(checkpointed.vector("apple").is_some());
+        }
+    }
+
+    #[test]
+    fn killed_sharded_run_resumes_bit_identical() {
+        let (corpus, cfg) = sharded_case();
         let trainer = Word2VecTrainer::new(cfg);
         let (_dir, store) = ckpt_store("kill");
+        let uninterrupted = trainer.train(&corpus);
 
-        let uninterrupted = trainer.train_checkpointed(&corpus, &store, "w2v");
-        assert!(store.load("w2v").is_none());
-
-        // Kill the run right after the third epoch checkpoint lands.
-        store.kill_after_saves(3);
+        // Kill the run right after the first epoch checkpoint lands.
+        store.kill_after_saves(1);
         let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             trainer.train_checkpointed(&corpus, &store, "w2v")
         }));
@@ -998,37 +1005,34 @@ mod tests {
             cats_obs::counter("cats.embedding.w2v.resumed_epochs").get() > before,
             "resume actually skipped completed epochs"
         );
-        for word in ["apple", "pear", "bolt", "nut"] {
-            assert_eq!(
-                uninterrupted.vector(word),
-                resumed.vector(word),
-                "resumed weights must be bit-identical for {word}"
-            );
-        }
+        assert_same_vectors(&uninterrupted, &resumed, "resumed");
         assert!(store.load("w2v").is_none(), "checkpoint cleared after resume completes");
     }
 
     #[test]
-    fn mismatched_checkpoint_is_ignored() {
-        let corpus = clustered_corpus(60);
-        let cfg = Word2VecConfig { parallelism: Parallelism::serial(), ..small_cfg() };
+    fn mismatched_or_damaged_checkpoint_is_ignored() {
+        let (corpus, cfg) = sharded_case();
+        let clean = Word2VecTrainer::new(cfg).train(&corpus);
         let (_dir, store) = ckpt_store("mismatch");
 
         // Leave a checkpoint behind from a run with a different seed.
         let other = Word2VecConfig { seed: 999, ..cfg };
-        store.kill_after_saves(2);
+        store.kill_after_saves(1);
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             Word2VecTrainer::new(other).train_checkpointed(&corpus, &store, "w2v")
         }));
-        assert!(store.load("w2v").is_some());
-
-        let clean = Word2VecTrainer::new(cfg).train_checkpointed(&corpus, &store, "w2v");
-        let (_dir2, store2) = ckpt_store("mismatch_fresh");
-        let fresh = Word2VecTrainer::new(cfg).train_checkpointed(&corpus, &store2, "w2v");
-        assert_eq!(
-            clean.vector("apple"),
-            fresh.vector("apple"),
-            "a foreign checkpoint must not leak into the run"
-        );
+        let foreign = store.load("w2v").expect("foreign slot saved");
+        let mut own_fingerprint = foreign.clone();
+        own_fingerprint[..4].copy_from_slice(&ckpt_fingerprint(&cfg, &corpus).to_le_bytes());
+        let slots = [
+            ("foreign", foreign),
+            ("truncated", own_fingerprint[..own_fingerprint.len() - 3].to_vec()),
+            ("appended", [own_fingerprint.as_slice(), &[0]].concat()),
+        ];
+        for (name, slot) in slots {
+            store.save("w2v", &slot).unwrap();
+            let got = Word2VecTrainer::new(cfg).train_checkpointed(&corpus, &store, "w2v");
+            assert_same_vectors(&clean, &got, &format!("{name} slot leaked into the run"));
+        }
     }
 }

@@ -163,9 +163,8 @@ fn dot_weights(
 }
 
 /// The oracle's `syn0` after training `corpus` under `cfg`: the sharded
-/// schedule when `sharded` (what `train_checkpointed` always runs) or
-/// the corpus is large enough, else the serial one.
-fn train_reference(cfg: Word2VecConfig, corpus: &Corpus, sharded: bool) -> Vec<f32> {
+/// schedule when the corpus is large enough, else the serial one.
+fn train_reference(cfg: Word2VecConfig, corpus: &Corpus) -> Vec<f32> {
     let vocab = corpus.vocab();
     let n = vocab.len();
     if n == 0 {
@@ -188,7 +187,7 @@ fn train_reference(cfg: Word2VecConfig, corpus: &Corpus, sharded: bool) -> Vec<f
         trained,
     };
     let sents = corpus.sentences();
-    if !sharded && sents.len() < DET_MIN_SENTENCES {
+    if sents.len() < DET_MIN_SENTENCES {
         let (w0, w1) = (as_cells(&mut syn0), as_cells(&mut syn1));
         let mut scratch = Scratch::new(&cfg);
         let mut processed = 0u64;
@@ -279,9 +278,10 @@ fn trainer_matches_the_cell_kernel_oracle_bitwise() {
     let mut compared = 0;
     for case in 0..208 {
         // Every eighth case is big enough to run the sharded schedule
-        // (kept to small dims: debug builds run it slowly), every
-        // sixteenth from the second a checkpointed run killed after some
-        // epoch.
+        // (kept to small dims: debug builds run it slowly). Every
+        // sixteenth is a checkpointed run killed after some epoch and
+        // resumed, and every sixteenth from the second a serial run
+        // given a store, which must not change its vectors.
         let (corpus, cfg) = match case % 8 {
             0 => {
                 let (n, words) = (
@@ -307,21 +307,21 @@ fn trainer_matches_the_cell_kernel_oracle_bitwise() {
         compared += 1;
         let label = format!("case {case} ({} sentences, {cfg:?})", corpus.len());
         let trainer = Word2VecTrainer::new(cfg);
-        if case % 16 == 1 {
-            let want = train_reference(cfg, &corpus, true);
-            if cfg.epochs > 1 && corpus.token_count() > 0 {
-                store.kill_after_saves(1 + rng.random_range(0..cfg.epochs - 1) as u64);
-                let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    trainer.train_checkpointed(&corpus, &store, "w2v")
-                }));
-                assert!(killed.is_err(), "{label}: simulated kill fires");
+        let got = match case % 16 {
+            0 => {
+                if cfg.epochs > 1 {
+                    store.kill_after_saves(1 + rng.random_range(0..cfg.epochs - 1) as u64);
+                    let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        trainer.train_checkpointed(&corpus, &store, "w2v")
+                    }));
+                    assert!(killed.is_err(), "{label}: simulated kill fires");
+                }
+                trainer.train_checkpointed(&corpus, &store, "w2v")
             }
-            let resumed = trainer.train_checkpointed(&corpus, &store, "w2v");
-            assert_bits_equal(&resumed.vectors, &want, &label);
-        } else {
-            let want = train_reference(cfg, &corpus, false);
-            assert_bits_equal(&trainer.train(&corpus).vectors, &want, &label);
-        }
+            1 => trainer.train_checkpointed(&corpus, &store, "w2v"),
+            _ => trainer.train(&corpus),
+        };
+        assert_bits_equal(&got.vectors, &train_reference(cfg, &corpus), &label);
     }
     assert!(compared >= 200, "only {compared} cases compared");
 }

@@ -12,17 +12,20 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "CATS-IO2"
-//! 8       4     u32 container version (currently 1)
+//! 8       4     u32 container version (currently 2)
 //! 12      4     u32 section count N
 //! 16      32×N  section table: 12-byte NUL-padded name,
 //!               u64 offset, u64 length, u32 crc32
 //! 16+32N  ...   section payloads, each padded to 8-byte alignment
 //! ```
 //!
+//! A section's CRC32 covers its 12 name bytes, NUL padding included, then
+//! its payload, so a damaged name is an error, not an absent section.
+//!
 //! Forward-compatibility rules:
 //!
-//! * a reader MUST reject a container whose *version* is newer than it
-//!   understands — the table layout itself may have changed;
+//! * a reader MUST reject a container whose *version* is not the one it
+//!   writes — the table layout or what a CRC covers may have changed;
 //! * within a known version, a reader MUST skip section names it does
 //!   not recognize — future writers add data as new sections, never by
 //!   changing the meaning of existing ones;
@@ -33,17 +36,18 @@
 //! The reader accepts only the layout [`Io2Builder`] writes: each
 //! payload at the next 8-byte boundary after the previous one, zero
 //! padding, NUL-padded names, and nothing after the last payload. The
-//! padding and the table are outside every CRC, so this is what makes a
-//! flipped or appended byte there an error instead of a silent no-op.
+//! header, the table's offsets, lengths and CRCs, and the padding are
+//! outside every CRC, so this is what makes a flipped or appended byte
+//! there an error instead of a silent no-op.
 
-use crate::{atomic_write, crc32, IoError};
+use crate::{atomic_write, crc32_of, IoError};
 use std::path::Path;
 
 /// File-format magic of IO2 containers.
 pub const MAGIC2: &[u8; 8] = b"CATS-IO2";
 
-/// Container layout version this build writes and the newest it reads.
-pub const IO2_VERSION: u32 = 1;
+/// Container layout version this build writes and the only one it reads.
+pub const IO2_VERSION: u32 = 2;
 
 /// Maximum section-name length (the table reserves 12 bytes).
 pub const MAX_SECTION_NAME: usize = 12;
@@ -111,7 +115,7 @@ impl Io2Builder {
             out.extend_from_slice(&name_bytes);
             out.extend_from_slice(&offset.to_le_bytes());
             out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&crc32(payload).to_le_bytes());
+            out.extend_from_slice(&crc32_of(&[&name_bytes, payload]).to_le_bytes());
         }
         for (_, payload) in &self.sections {
             out.resize(out.len() + pad8(out.len()), 0);
@@ -162,7 +166,7 @@ impl<'a> Io2File<'a> {
             let reason = if version > IO2_VERSION {
                 format!("container version {version} is newer than supported {IO2_VERSION}")
             } else {
-                format!("unknown container version {version}")
+                format!("container version {version} is older than supported {IO2_VERSION}")
             };
             return Err(IoError::BadHeader { path: path.to_owned(), reason });
         }
@@ -221,7 +225,7 @@ impl<'a> Io2File<'a> {
                     }
                 })?;
             let payload = &bytes[start..end];
-            let actual_crc = crc32(payload);
+            let actual_crc = crc32_of(&[name_raw, payload]);
             if actual_crc != expected_crc {
                 return Err(IoError::ChecksumMismatch {
                     path: path.to_owned(),
@@ -538,17 +542,24 @@ mod tests {
         flipped[at] ^= 0x01;
         assert!(matches!(Io2File::parse(&flipped, "t"), Err(IoError::ChecksumMismatch { .. })));
 
-        // Future container version; a version no writer ever used.
-        let mut future = bytes.clone();
-        future[8..12].copy_from_slice(&(IO2_VERSION + 1).to_le_bytes());
-        let err = Io2File::parse(&future, "t").unwrap_err();
-        assert!(err.to_string().contains("newer than supported"), "{err}");
-        let mut unknown = bytes.clone();
-        unknown[8..12].copy_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(Io2File::parse(&unknown, "t"), Err(IoError::BadHeader { .. })));
+        // Any other container version: a future one, and version 1, whose
+        // CRCs did not cover the section names.
+        for (version, age) in [(IO2_VERSION + 1, "newer"), (1, "older")] {
+            let mut other = bytes.clone();
+            other[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = Io2File::parse(&other, "t").unwrap_err();
+            assert!(matches!(err, IoError::BadHeader { .. }), "{err}");
+            assert!(err.to_string().contains(&format!("{age} than supported")), "{err}");
+        }
 
-        // No CRC covers the padding, the name bytes after the NUL or what
-        // follows the last payload; the layout check rejects changes there.
+        // A renamed section fails its CRC, which covers the name.
+        let mut renamed = bytes.clone();
+        renamed[HEADER_LEN] = b'A';
+        assert!(matches!(Io2File::parse(&renamed, "t"), Err(IoError::ChecksumMismatch { .. })));
+
+        // No CRC covers the padding or what follows the last payload, and
+        // a name's NUL padding is checked before its CRC; the layout check
+        // rejects changes there.
         let mut padding = bytes.clone();
         padding[at + b"hello world".len()] = 1;
         assert!(matches!(Io2File::parse(&padding, "t"), Err(IoError::BadHeader { .. })));

@@ -114,8 +114,13 @@ const CRC_TABLE: [u32; 256] = {
 
 /// CRC32 (IEEE) of `bytes`. Matches zlib's `crc32(0, ...)`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_of(&[bytes])
+}
+
+/// CRC32 (IEEE) of the concatenation of `parts`.
+fn crc32_of(parts: &[&[u8]]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
+    for &b in parts.iter().copied().flatten() {
         c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
@@ -230,7 +235,7 @@ impl CheckpointStore {
     }
 
     /// Atomically writes a stage checkpoint as a single-section
-    /// `CATS-IO2` container (a fixed 56 bytes of framing around the
+    /// `CATS-IO2` container (a fixed 48 bytes of framing before the
     /// payload).
     pub fn save(&self, stage: &str, payload: &[u8]) -> Result<(), IoError> {
         let mut container = io2::Io2Builder::new();

@@ -9,10 +9,9 @@
 use crate::classifier::Classifier;
 use crate::data::Dataset;
 use crate::tree::{DecisionTree, TreeConfig};
-use serde::{Deserialize, Serialize};
 
 /// AdaBoost hyperparameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AdaBoostConfig {
     /// Number of boosting rounds (stumps).
     pub n_rounds: usize,
@@ -27,7 +26,7 @@ impl Default for AdaBoostConfig {
 }
 
 /// The boosted ensemble.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdaBoost {
     config: AdaBoostConfig,
     stages: Vec<(f64, DecisionTree)>,

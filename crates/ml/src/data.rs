@@ -3,7 +3,6 @@
 use crate::flat::ColMatrix;
 use cats_io::io2::{Dec, Enc, Io2Builder, Io2File};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Byte-format version of the dataset `meta` section.
@@ -214,7 +213,7 @@ fn stratified_assignment(labels: &[u8], k: usize, seed: u64) -> Vec<usize> {
 /// Per-feature standardization (zero mean, unit variance), fit on training
 /// data and applied to any dataset — required by the SVM and MLP, harmless
 /// for trees.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,

@@ -37,7 +37,8 @@ pub enum SplitMode {
     },
 }
 
-/// GBT hyperparameters.
+/// GBT hyperparameters. A model's IO2 encoding does not store them
+/// (see [`GradientBoostedTrees::from_io2_bytes`]).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct GbtConfig {
     /// Number of boosting rounds (trees).
@@ -63,7 +64,7 @@ pub struct GbtConfig {
     /// Parallelism for split scans and per-round recomputation. Results
     /// are bit-identical at every thread count (parallelism is only over
     /// features and rows whose accumulation order is self-contained).
-    /// Not serialized: a restored model refits with the caller's setting.
+    /// A runtime knob: the serde form skips it.
     #[serde(skip)]
     pub parallelism: Parallelism,
 }
@@ -199,59 +200,53 @@ impl GradientBoostedTrees {
         self.flat.margin(self.base_score, row)
     }
 
-    /// Binary (`CATS-IO2` section payload) encoding: a small JSON head
-    /// (config, base score, importances) followed by the forest as flat
+    /// Binary (`CATS-IO2` section payload) encoding of what prediction
+    /// and the importances read: the base score (`f64`), the split counts
+    /// (`u64` array) and gain sums (`f64` array), then the forest as flat
     /// little-endian arrays. Deterministic — the same model always
     /// yields the same bytes.
-    pub fn to_io2_bytes(&self) -> Result<Vec<u8>, String> {
-        let head = GbtHead {
-            config: self.config,
-            base_score: self.base_score,
-            split_counts: self.split_counts.clone(),
-            gain_sums: self.gain_sums.clone(),
-        };
-        let head_json = serde_json::to_string(&head).map_err(|e| e.to_string())?;
+    pub fn to_io2_bytes(&self) -> Vec<u8> {
         let mut e = cats_io::io2::Enc::new();
-        e.str(&head_json).u8s(&self.flat.to_bytes());
-        Ok(e.into_bytes())
+        e.f64(self.base_score)
+            .u64s(&self.split_counts)
+            .f64s(&self.gain_sums)
+            .u8s(&self.flat.to_bytes());
+        e.into_bytes()
     }
 
     /// Decodes [`GradientBoostedTrees::to_io2_bytes`]. The flat pool is
     /// taken as stored (so re-encoding is byte-identical); split feature
-    /// indices are validated against the feature count.
+    /// indices are validated against the feature count. The encoding
+    /// holds no hyperparameters: a decoded model predicts, and carries
+    /// [`GbtConfig::default()`] for any later fit.
     pub fn from_io2_bytes(bytes: &[u8]) -> Result<Self, String> {
         let mut d = cats_io::io2::Dec::new(bytes);
-        let head: GbtHead =
-            serde_json::from_str(&d.str()?).map_err(|e| format!("gbt head: {e}"))?;
+        let base_score = d.f64()?;
+        let split_counts = d.u64s()?;
+        let gain_sums = d.f64s()?;
         let flat = FlatForest::from_bytes(&d.u8s()?)?;
         if d.remaining() != 0 {
             return Err(format!("{} trailing bytes after gbt payload", d.remaining()));
         }
-        let n_features = head.split_counts.len();
-        if head.gain_sums.len() != n_features {
+        let n_features = split_counts.len();
+        if gain_sums.len() != n_features {
             return Err(format!(
-                "gbt head: importance arrays disagree ({n_features} vs {})",
-                head.gain_sums.len()
+                "gbt: importance arrays disagree ({n_features} vs {})",
+                gain_sums.len()
             ));
         }
         check_features(&flat, n_features)?;
-        Ok(Self {
-            config: head.config,
-            base_score: head.base_score,
-            split_counts: head.split_counts,
-            gain_sums: head.gain_sums,
-            flat,
-        })
+        Ok(Self { config: GbtConfig::default(), base_score, split_counts, gain_sums, flat })
     }
 
     /// A mid-fit checkpoint slot: the run's fingerprint, the boosting
     /// rounds completed (loop iterations, which exceed the tree count
     /// when a subsampled round came up empty), and the model so far in
     /// its own [`GradientBoostedTrees::to_io2_bytes`] encoding.
-    fn encode_checkpoint(&self, fingerprint: u32, rounds_done: usize) -> Result<Vec<u8>, String> {
+    fn encode_checkpoint(&self, fingerprint: u32, rounds_done: usize) -> Vec<u8> {
         let mut e = cats_io::io2::Enc::new();
-        e.u32(fingerprint).u64(rounds_done as u64).u8s(&self.to_io2_bytes()?);
-        Ok(e.into_bytes())
+        e.u32(fingerprint).u64(rounds_done as u64).u8s(&self.to_io2_bytes());
+        e.into_bytes()
     }
 
     /// Decodes [`GradientBoostedTrees::encode_checkpoint`]. The model goes
@@ -268,15 +263,6 @@ impl GradientBoostedTrees {
         }
         Ok((fingerprint, rounds_done, model))
     }
-}
-
-/// JSON head of the binary GBT encoding — everything except the forest.
-#[derive(Serialize, Deserialize)]
-struct GbtHead {
-    config: GbtConfig,
-    base_score: f64,
-    split_counts: Vec<u64>,
-    gain_sums: Vec<f64>,
 }
 
 /// Rejects a decoded pool whose splits index past the model's features
@@ -416,8 +402,9 @@ impl GradientBoostedTrees {
                             && rounds_done <= cfg.n_trees
                             && saved.flat.n_trees() <= rounds_done =>
                     {
-                        // `self.config` stays: the fingerprint pins every
-                        // field of the saved one except parallelism.
+                        // `self.config` stays: the slot stores none, and
+                        // the fingerprint pinned every field but
+                        // parallelism.
                         *self = Self { config: self.config, ..saved };
                         for t in 0..self.flat.n_trees() {
                             let flat = &self.flat;
@@ -533,17 +520,10 @@ impl GradientBoostedTrees {
             if let (Some((store, stage, every)), Some(fp)) = (ckpt, fingerprint) {
                 let done = round + 1;
                 if done % every == 0 && done < cfg.n_trees {
-                    match self.encode_checkpoint(fp, done) {
-                        // A failed save costs the resume point, never the
-                        // fit; the next cadence point retries.
-                        Ok(bytes) => {
-                            if let Err(e) = store.save(stage, &bytes) {
-                                eprintln!("cats-ml: gbt checkpoint save failed ({stage}): {e}");
-                            }
-                        }
-                        Err(e) => {
-                            eprintln!("cats-ml: gbt checkpoint encode failed ({stage}): {e}")
-                        }
+                    // A failed save costs the resume point, never the fit;
+                    // the next cadence point retries.
+                    if let Err(e) = store.save(stage, &self.encode_checkpoint(fp, done)) {
+                        eprintln!("cats-ml: gbt checkpoint save failed ({stage}): {e}");
                     }
                 }
             }
@@ -1242,7 +1222,7 @@ mod tests {
         assert_matches_oracle(&resumed, &d, "resumed");
 
         for m in [&fitted, &early, &resumed] {
-            let decoded = GradientBoostedTrees::from_io2_bytes(&m.to_io2_bytes().unwrap()).unwrap();
+            let decoded = GradientBoostedTrees::from_io2_bytes(&m.to_io2_bytes()).unwrap();
             assert_matches_oracle(&decoded, &d, "decoded");
         }
     }
@@ -1252,7 +1232,7 @@ mod tests {
         let d = separable(80);
         let mut m = GradientBoostedTrees::new(cfg_small());
         m.fit(&d);
-        let bytes = m.to_io2_bytes().unwrap();
+        let bytes = m.to_io2_bytes();
         let m2 = GradientBoostedTrees::from_io2_bytes(&bytes).unwrap();
         let trees = unflatten_trees(&m.flat);
         for i in 0..d.len() {
@@ -1271,7 +1251,7 @@ mod tests {
         }
         // The binary encoding is canonical: decode → encode is
         // byte-identical.
-        assert_eq!(m2.to_io2_bytes().unwrap(), bytes);
+        assert_eq!(m2.to_io2_bytes(), bytes);
     }
 
     #[test]
@@ -1279,7 +1259,7 @@ mod tests {
         let d = separable(40);
         let mut m = GradientBoostedTrees::new(cfg_small());
         m.fit(&d);
-        let bytes = m.to_io2_bytes().unwrap();
+        let bytes = m.to_io2_bytes();
         let mut truncated = bytes.clone();
         truncated.truncate(bytes.len() - 9);
         assert!(GradientBoostedTrees::from_io2_bytes(&truncated).is_err());
@@ -1397,7 +1377,7 @@ mod tests {
             state.flat = forest;
             state.split_counts = vec![0; width];
             state.gain_sums = vec![0.0; width];
-            let slot = state.encode_checkpoint(ckpt_fingerprint(&cfg_ckpt(), &d), 5).unwrap();
+            let slot = state.encode_checkpoint(ckpt_fingerprint(&cfg_ckpt(), &d), 5);
             store.save("gbt", &slot).unwrap();
             let before = cats_obs::counter("cats.ml.gbt.ckpt_rejected").get();
             let mut m = GradientBoostedTrees::new(cfg_ckpt());
@@ -1406,7 +1386,7 @@ mod tests {
                 cats_obs::counter("cats.ml.gbt.ckpt_rejected").get() > before,
                 "{name}: crafted checkpoint must be rejected"
             );
-            assert_eq!(m.to_io2_bytes().unwrap(), clean.to_io2_bytes().unwrap(), "{name}");
+            assert_eq!(m.to_io2_bytes(), clean.to_io2_bytes(), "{name}");
             for i in 0..d.len() {
                 assert_eq!(
                     m.predict_proba(d.row(i)).to_bits(),

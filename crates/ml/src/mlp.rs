@@ -8,10 +8,9 @@
 use crate::classifier::Classifier;
 use crate::data::{Dataset, StandardScaler};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// MLP hyperparameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MlpConfig {
     /// Hidden-layer width.
     pub hidden: usize,
@@ -34,7 +33,7 @@ impl Default for MlpConfig {
 }
 
 /// The network: `w1 [hidden × in]`, `b1 [hidden]`, `w2 [hidden]`, `b2`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     config: MlpConfig,
     w1: Vec<f64>,

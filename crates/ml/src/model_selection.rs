@@ -10,10 +10,9 @@ use crate::classifier::{fit_evaluate, Classifier};
 use crate::data::Dataset;
 use crate::metrics::BinaryMetrics;
 use cats_par::Parallelism;
-use serde::{Deserialize, Serialize};
 
 /// Averaged cross-validation result for one model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CvResult {
     /// Model display name.
     pub name: String,

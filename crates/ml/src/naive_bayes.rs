@@ -6,14 +6,13 @@
 
 use crate::classifier::Classifier;
 use crate::data::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// Variance floor: features with (near-)zero within-class variance would
 /// otherwise produce infinite likelihood ratios.
 const VAR_FLOOR: f64 = 1e-9;
 
 /// Per-class Gaussian parameters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct ClassStats {
     log_prior: f64,
     means: Vec<f64>,
@@ -21,7 +20,7 @@ struct ClassStats {
 }
 
 /// The fitted model.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GaussianNaiveBayes {
     pos: ClassStats,
     neg: ClassStats,

@@ -7,10 +7,8 @@
 //! requires the full score ranking. These utilities back the calibration
 //! code in `cats-core` and the `exp_prcurve` experiment.
 
-use serde::{Deserialize, Serialize};
-
 /// One point of a precision–recall curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrPoint {
     /// Decision threshold producing this point.
     pub threshold: f64,

@@ -13,10 +13,9 @@
 use crate::classifier::Classifier;
 use crate::data::{Dataset, StandardScaler};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// SVM hyperparameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SvmConfig {
     /// Regularization strength λ of the Pegasos objective; larger values
     /// shrink the weight vector harder and make the margin more
@@ -35,7 +34,7 @@ impl Default for SvmConfig {
 }
 
 /// Linear SVM with internal standardization.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinearSvm {
     config: SvmConfig,
     weights: Vec<f64>,

@@ -7,10 +7,9 @@
 
 use crate::classifier::Classifier;
 use crate::data::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// Decision-tree hyperparameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TreeConfig {
     /// Maximum tree depth (a depth-0 tree is a single leaf).
     pub max_depth: usize,
@@ -29,7 +28,7 @@ impl Default for TreeConfig {
 }
 
 /// Tree nodes in a flat arena.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf {
         /// Weighted fraction of positive examples at the leaf.
@@ -46,7 +45,7 @@ enum Node {
 }
 
 /// A trained (or yet-untrained) CART classifier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecisionTree {
     config: TreeConfig,
     nodes: Vec<Node>,

@@ -46,3 +46,15 @@ pub use metrics::{
 pub use profile::{RunProfile, StageProfile, StageTimer};
 pub use span::StageStats;
 pub use sync::lock_recover;
+
+/// The SplitMix64 state increment.
+pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The workspace's one SplitMix64 finalizer: a SplitMix64 stream returns
+/// `mix64(state)` after each `state += GOLDEN_GAMMA`.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

@@ -5,15 +5,13 @@
 //! metadata used by the measurement study of §V (userExpValue, client
 //! information).
 
-use serde::{Deserialize, Serialize};
-
 /// Minimum userExpValue observed on E-platform (paper §V, user aspect).
 pub const MIN_USER_EXP: u64 = 100;
 /// Maximum userExpValue observed on E-platform.
 pub const MAX_USER_EXP: u64 = 27_158_720;
 
 /// Purchase client, the paper's "order source" (Fig 12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Client {
     /// Web browser client — dominant among fraud orders.
     Web,
@@ -44,7 +42,7 @@ impl Client {
 /// Taobao: men's clothing, women's clothing, men's shoes, women's shoes,
 /// computer & office, phone & accessories, food & grocery, and sports &
 /// outdoors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
     /// Men's clothing.
     MensClothing,
@@ -103,7 +101,7 @@ impl Category {
 /// D1 distinguishes frauds labeled from hard evidence (financial
 /// transactions between merchants and hired users) from frauds labeled by
 /// Alibaba's anti-fraud experts; Table VI reports both slices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ItemLabel {
     /// Fraud with sufficient (transaction-level) evidence.
     FraudSufficientEvidence,
@@ -121,7 +119,7 @@ impl ItemLabel {
 }
 
 /// A registered platform user.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct User {
     /// Dense user id.
     pub id: u32,
@@ -136,7 +134,7 @@ pub struct User {
 }
 
 /// A third-party shop.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Shop {
     /// Dense shop id.
     pub id: u32,
@@ -149,7 +147,7 @@ pub struct Shop {
 /// One comment, attached to the order that produced it (on the modeled
 /// platforms only buyers can comment, so a comment record doubles as an
 /// order record — paper §V "order aspect").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Comment {
     /// Dense comment id (platform-wide).
     pub id: u64,
@@ -164,7 +162,7 @@ pub struct Comment {
 }
 
 /// An item listed by a shop, with its full public comment history.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Item {
     /// Dense item id (platform-wide).
     pub id: u64,

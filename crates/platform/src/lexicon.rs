@@ -20,7 +20,6 @@
 //! tests are stable.
 
 use rand::{rngs::StdRng, Rng, RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Syllable inventory for pseudo-word composition.
@@ -80,7 +79,7 @@ pub const FUNCTION_WORDS: &[&str] = &[
 ];
 
 /// Word classes of the synthetic language.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WordClass {
     /// Latent ground-truth positive sentiment word.
     Positive,
@@ -93,7 +92,7 @@ pub enum WordClass {
 }
 
 /// The generated vocabulary of the synthetic platform language.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SyntheticLexicon {
     positive: Vec<String>,
     negative: Vec<String>,

@@ -22,9 +22,9 @@
 //!   workers stop popping until the guard drops, so queueing,
 //!   coalescing and 429 overflow happen on cue, not by racing a worker.
 //!
-//! The RNG is a hand-rolled SplitMix64 so the crate stays `std`-only;
-//! chaos reproducibility must not depend on an external RNG crate's
-//! stream stability.
+//! The RNG is SplitMix64 over `cats_obs::mix64`, so the crate stays
+//! `std`-only; chaos reproducibility must not depend on an external RNG
+//! crate's stream stability.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -43,11 +43,8 @@ impl ChaosRng {
 
     /// Next raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0 = self.0.wrapping_add(cats_obs::GOLDEN_GAMMA);
+        cats_obs::mix64(self.0)
     }
 
     /// Uniform draw in `[0, 1)`.

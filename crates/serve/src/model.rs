@@ -322,8 +322,8 @@ mod tests {
 
     #[test]
     fn watcher_reloads_on_rewrite_and_survives_garbage() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("cats_serve_watch_{}.cats", std::process::id()));
+        let dir = cats_io::ScratchDir::new("cats_serve_watch");
+        let path = dir.join("model.cats");
         let pipeline = testutil::trained(0.0);
         let snap = pipeline.to_snapshot().to_io2_bytes().unwrap();
         std::fs::write(&path, &snap).unwrap();
@@ -360,7 +360,6 @@ mod tests {
         assert!(slot.version() >= 2, "valid rewrite must hot-swap");
 
         watcher.stop();
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -428,24 +427,20 @@ mod tests {
 
     #[test]
     fn watcher_hot_swaps_each_rewrite_and_scores_identically() {
-        let path =
-            std::env::temp_dir().join(format!("cats_serve_rewrite_{}.cats", std::process::id()));
+        let dir = cats_io::ScratchDir::new("cats_serve_rewrite");
         let (pipeline, snap, shifted) = snapshot_pair();
-        rewrites_right_after_spawn_swap(&path, pipeline, &snap, &shifted);
-        let _ = std::fs::remove_file(&path);
+        rewrites_right_after_spawn_swap(&dir.join("model.cats"), pipeline, &snap, &shifted);
     }
 
     #[test]
     #[ignore = "200 rounds; run with --ignored"]
     fn watcher_swaps_a_rewrite_made_right_after_spawn_every_time() {
-        let path = std::env::temp_dir()
-            .join(format!("cats_serve_rewrite_loop_{}.cats", std::process::id()));
+        let dir = cats_io::ScratchDir::new("cats_serve_rewrite_loop");
         let (_, snap, shifted) = snapshot_pair();
         for _ in 0..200 {
             let pipeline = testutil::restore(&snap, 0.0);
-            rewrites_right_after_spawn_swap(&path, pipeline, &snap, &shifted);
+            rewrites_right_after_spawn_swap(&dir.join("model.cats"), pipeline, &snap, &shifted);
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -461,11 +456,9 @@ mod tests {
 
     #[test]
     fn watcher_mirrors_last_good_and_rejects_torn_rewrites() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let path = dir.join(format!("cats_serve_lg_{pid}.snap"));
-        let mirror = dir.join(format!("cats_serve_lg_{pid}.last_good"));
-        let _ = std::fs::remove_file(&mirror);
+        let dir = cats_io::ScratchDir::new("cats_serve_lg");
+        let path = dir.join("model.snap");
+        let mirror = dir.join("model.last_good");
         let pipeline = testutil::trained(0.0);
         let snap = pipeline.to_snapshot().to_io2_bytes().unwrap();
         cats_io::atomic_write(&path, &snap).unwrap();
@@ -515,7 +508,5 @@ mod tests {
         assert!(slot.version() >= 2, "completed rewrite must hot-swap");
 
         watcher.stop();
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&mirror);
     }
 }

@@ -47,13 +47,11 @@ impl Bucket {
     const EMPTY: Bucket = Bucket { count: 0, users: [0; USER_BITMAP_WORDS], gaps: [0; GAP_BINS] };
 }
 
-/// Deterministic 64-bit mix of a user id (SplitMix64 finalizer) — the
-/// bitmap hash. Pure arithmetic, identical everywhere.
+/// Deterministic 64-bit mix of a user id — the bitmap hash: the first
+/// output of a SplitMix64 stream seeded with `id`. Pure arithmetic,
+/// identical everywhere.
 pub fn mix_user(id: u64) -> u64 {
-    let mut z = id.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    cats_obs::mix64(id.wrapping_add(cats_obs::GOLDEN_GAMMA))
 }
 
 /// Aggregated view of one ring's window, read at feature time.

@@ -40,6 +40,25 @@ for bin in exp_table1 exp_table6; do
     exit 1
   fi
 done
+# A checkpoint store adds resumability, never a different model: train
+# with and without one on a corpus below word2vec's sharding size
+# (4,096 sentences; scale 0.002) and one above it (scale 0.03), and
+# require byte-identical snapshots.
+MODEL_DIR=target/verify-models
+rm -rf "$MODEL_DIR"
+mkdir -p "$MODEL_DIR"
+cli() { cargo run --release "${LOCKED[@]}" -q -p cats-cli -- "$@"; }
+for scale in 0.002 0.03; do
+  data="$MODEL_DIR/labeled-$scale.jsonl"
+  cli generate --scale "$scale" --seed 7 >"$data"
+  cli train --input "$data" --model "$MODEL_DIR/plain-$scale.cats"
+  cli train --input "$data" --model "$MODEL_DIR/store-$scale.cats" \
+    --checkpoint-dir "$MODEL_DIR/checkpoints-$scale"
+  if ! cmp "$MODEL_DIR/plain-$scale.cats" "$MODEL_DIR/store-$scale.cats"; then
+    echo "verify: a checkpoint store changed the model at scale $scale" >&2
+    exit 1
+  fi
+done
 # perf/ is a package of its own (own Cargo.lock, built --locked): build
 # it and run its self-tests, so a change to the API it uses or to a
 # manifest it depends on fails here, not only in CI's perf job.

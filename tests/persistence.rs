@@ -203,7 +203,7 @@ fn io2_container_corruption_classes_fail_typed_and_never_panic() {
     // A container stamped with a future layout version must be rejected
     // up front — this build cannot know how to read it.
     let mut future = good.clone();
-    future[8..12].copy_from_slice(&2u32.to_le_bytes());
+    future[8..12].copy_from_slice(&(cats::io::io2::IO2_VERSION + 1).to_le_bytes());
     std::fs::write(&path, &future).expect("future version");
     let err = PipelineSnapshot::load(&path).map(|_| ()).expect_err("future container rejected");
     assert!(err.to_string().contains("newer than supported"), "{err}");
