@@ -6,7 +6,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  cats-cli generate --scale <f64> --seed <u64>            (JSONL to stdout)\n  cats-cli crawl    --scale <f64> --seed <u64> [--faults <0..1>]  (JSONL to stdout)\n  cats-cli train    --input <jsonl> --model <out.cats> [--threshold <f64>] [--seed <u64>] [--metrics-out <json>] [--checkpoint-dir <dir>] [--resume]\n  cats-cli detect   --model <cats> --input <jsonl> [--metrics-out <json>]  (reports to stdout)\n  cats-cli serve    --model <cats> [--addr <host:port>] [--watch] [--max-batch <n>] [--queue <n>] [--workers <n>] [--checkpoint-dir <dir>]\n  cats-cli serve    --model <cats> --shards <n> [--addr <host:port>] [--workers <n>] [--score-threads <n>]   (multi-process cluster)\n  cats-cli serve    --model <cats> --shard-of <id> [--addr <host:port>] [--workers <n>] [--score-threads <n>] (one cluster shard)\n  cats-cli score    --input <jsonl> [--addr <host:port>]  (reports to stdout)\n  cats-cli analyze  --reports <jsonl> --labeled <jsonl>\n  cats-cli metrics  --profile <json>                      (pretty-print a RunProfile)"
+        "usage:\n  cats-cli generate --scale <f64> --seed <u64>            (JSONL to stdout)\n  cats-cli crawl    --scale <f64> --seed <u64> [--faults <0..1>]  (JSONL to stdout)\n  cats-cli train    --input <jsonl> --model <out.cats> [--threshold <f64>] [--seed <u64>] [--metrics-out <json>] [--checkpoint-dir <dir>] [--resume]\n  cats-cli detect   --model <cats> --input <jsonl> [--metrics-out <json>]  (reports to stdout)\n  cats-cli serve    --model <cats> [--addr <host:port>] [--watch] [--max-batch <1..>] [--queue <1..>] [--workers <n>] [--checkpoint-dir <dir>]\n  cats-cli serve    --model <cats> --shards <n> [--addr <host:port>] [--workers <n>] [--score-threads <n>]   (multi-process cluster)\n  cats-cli serve    --model <cats> --shard-of <id> [--addr <host:port>] [--workers <n>] [--score-threads <n>] (one cluster shard)\n  cats-cli score    --input <jsonl> [--addr <host:port>]  (reports to stdout)\n  cats-cli analyze  --reports <jsonl> --labeled <jsonl>\n  cats-cli metrics  --profile <json>                      (pretty-print a RunProfile)"
     );
     ExitCode::from(2)
 }
@@ -54,6 +54,14 @@ fn run() -> Result<(), String> {
     };
     let parse_u64 = |k: &str, default: u64| -> Result<u64, String> {
         get(k).map_or(Ok(default), |v| v.parse().map_err(|e| format!("--{k}: {e}")))
+    };
+    // A zero batch cap or queue capacity would serve nothing: every
+    // request bounces off a zero-slot queue.
+    let parse_size = |k: &str, default: u64| -> Result<usize, String> {
+        match parse_u64(k, default)? {
+            0 => Err(format!("--{k} must be at least 1")),
+            n => Ok(n as usize),
+        }
     };
     let open = |k: &str| -> Result<BufReader<File>, String> {
         let path = get(k).ok_or(format!("--{k} is required"))?;
@@ -173,8 +181,8 @@ fn run() -> Result<(), String> {
                 addr: get("addr").unwrap_or_else(|| "127.0.0.1:7878".into()),
                 model_path: get("model").ok_or("--model is required")?,
                 watch: flags.contains_key("watch"),
-                max_batch_items: parse_u64("max-batch", 64)? as usize,
-                queue_capacity: parse_u64("queue", 256)? as usize,
+                max_batch_items: parse_size("max-batch", 64)?,
+                queue_capacity: parse_size("queue", 256)?,
                 workers: parse_u64("workers", 2)? as usize,
                 checkpoint_dir: get("checkpoint-dir"),
             };

@@ -90,3 +90,26 @@ fn missing_required_flag_is_reported() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("error:"), "{stderr}");
 }
+
+/// `serve` with `flag` set to 0 stops with a usage error naming it,
+/// before it loads a model.
+fn assert_zero_is_a_usage_error(flag: &str) {
+    let out = Command::new(bin())
+        .args(["serve", "--model", "/nonexistent", "--addr", "127.0.0.1:0", flag, "0"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{flag} 0 is a usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&format!("error: {flag} must be at least 1")), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+}
+
+#[test]
+fn serve_rejects_a_zero_max_batch() {
+    assert_zero_is_a_usage_error("--max-batch");
+}
+
+#[test]
+fn serve_rejects_a_zero_queue() {
+    assert_zero_is_a_usage_error("--queue");
+}

@@ -920,9 +920,7 @@ mod tests {
     #[test]
     fn io2_snapshot_save_and_load() {
         let snap = trained().to_snapshot();
-        let dir = std::env::temp_dir().join(format!("cats_snap_io2_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = cats_io::ScratchDir::new("cats_snap_io2");
 
         // save() writes IO2; load() reads it back.
         let binary = dir.join("model.cats");
@@ -931,8 +929,6 @@ mod tests {
         let loaded = PipelineSnapshot::load(&binary).unwrap();
         assert_eq!(loaded.format_version, snap.format_version);
         assert_eq!(std::fs::read(&binary).unwrap(), snap.to_io2_bytes().unwrap());
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,15 +1,21 @@
 //! Micro-batching request queue.
 //!
 //! Concurrent `POST /v1/score` requests land in one bounded queue.
-//! Dispatch is *work-conserving*: a worker that finds the queue
-//! non-empty pops whole requests, up to [`BatchConfig::max_batch_items`]
-//! items, and scores them at once through one
-//! [`cats_core::CatsPipeline::detect`] call (which fans out across the
-//! `cats-par` pool). Requests coalesce only when they arrive while every
-//! worker is busy; the next free worker takes them together. Items go
-//! in as the requests' own comment lists, which detect segments into
-//! slices. Requests are never split: every item of a request is scored
-//! by the same model version, in the same batch.
+//! [`Batcher::submit_pinned`] cuts a request into contiguous parts of at
+//! most [`BatchConfig::max_batch_items`] items, each its own queue
+//! entry, so idle workers share a large request instead of one worker
+//! scoring it alone. Dispatch is *work-conserving*: a worker that finds
+//! the queue non-empty pops parts, up to `max_batch_items` items, and
+//! scores them at once through one [`cats_core::CatsPipeline::detect`]
+//! call per model (which fans out across the `cats-par` pool). Small
+//! requests coalesce only when they arrive while every worker is busy;
+//! the next free worker takes them together. Items go in as the
+//! requests' own comment lists, which detect segments into slices.
+//!
+//! The model is resolved once per request, at submit, and every part
+//! scores on it: the parts of one request never straddle a hot swap.
+//! The worker that scores a request's last part sends the reassembled
+//! answer, in submission order, on the request's one reply channel.
 //!
 //! Backpressure is typed, not implicit: a full queue rejects with
 //! [`RejectReason::QueueFull`] (HTTP 429 upstream) and a draining
@@ -22,13 +28,15 @@
 //! Workers are *supervised* (DESIGN.md §10): each runs its loop under
 //! `catch_unwind`, and a panic — a scoring bug, a poisoned lock, an
 //! injected chaos fault — respawns the loop in place instead of
-//! silently shrinking batch capacity. Requests popped by the panicking
-//! iteration have their reply senders dropped, which the HTTP layer
-//! answers as a 500: accepted work is always *answered*, never lost.
+//! silently shrinking batch capacity. A part popped by the panicking
+//! iteration never finishes, so its request's reply sender drops once
+//! the request's other parts are done, which the HTTP layer answers as
+//! a 500: accepted work is always *answered*, never lost.
 
-use crate::model::ModelSlot;
+use crate::model::{ModelSlot, VersionedModel};
 use crate::wire::{filter_str, ScoreItem, ScoreVerdict};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
@@ -38,11 +46,14 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for the micro-batcher.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Most items a worker pops into one batch. A single oversized
-    /// request still dispatches alone (never split).
+    /// Most items in one batch. A larger request is cut into
+    /// `ceil(n / max_batch_items)` parts whose sizes differ by at most
+    /// one. Values below 1 count as 1.
     pub max_batch_items: usize,
     /// Maximum requests waiting in the queue; beyond this, submit
-    /// rejects with [`RejectReason::QueueFull`].
+    /// rejects the whole request with [`RejectReason::QueueFull`]. It
+    /// counts requests, not parts: a request cut into parts holds one
+    /// place until its last part is popped.
     pub queue_capacity: usize,
     /// Batch worker threads draining the queue.
     pub workers: usize,
@@ -97,17 +108,84 @@ pub enum BatchReply {
     },
 }
 
-/// One queued request: its items plus the channel the worker answers on.
-struct Request {
+/// One admitted request, shared by the parts it was cut into.
+struct Job {
     items: Vec<ScoreItem>,
-    /// Model version this request must be scored by, if pinned.
-    pin: Option<u64>,
+    /// The model every part scores on, resolved at submit.
+    model: Arc<VersionedModel>,
     enqueued: Instant,
+    /// Dropped unanswered when a part's worker panics: the last `Arc`
+    /// of the job goes with the request's other parts.
     reply: mpsc::Sender<BatchReply>,
+    done: Mutex<JobDone>,
+}
+
+/// What the parts of a job have finished so far.
+struct JobDone {
+    /// One verdict vector per part, in part order.
+    verdicts: Vec<Vec<ScoreVerdict>>,
+    parts_left: usize,
+}
+
+/// A contiguous run of a job's items: one queue entry.
+struct Part {
+    job: Arc<Job>,
+    index: usize,
+    range: Range<usize>,
+}
+
+impl Part {
+    fn items(&self) -> &[ScoreItem] {
+        &self.job.items[self.range.clone()]
+    }
+
+    /// A job's parts are queued back to back and popped in order, so
+    /// popping the last one takes the request out of the queue.
+    fn is_last(&self) -> bool {
+        self.range.end == self.job.items.len()
+    }
+
+    /// Files this part's verdicts; the job's last part to finish sends
+    /// the whole answer.
+    fn finish(self, verdicts: Vec<ScoreVerdict>) {
+        let job = &self.job;
+        let mut done = cats_obs::lock_recover(&job.done, "cats.serve.batch.job");
+        done.verdicts[self.index] = verdicts;
+        done.parts_left -= 1;
+        if done.parts_left > 0 {
+            return;
+        }
+        let mut all = Vec::with_capacity(job.items.len());
+        all.extend(done.verdicts.drain(..).flatten());
+        drop(done);
+        // A hung-up client (timed-out request) is not an error.
+        let _ = job.reply.send(BatchReply::Scored(ScoredBatch {
+            model_version: job.model.version,
+            verdicts: all,
+        }));
+    }
+}
+
+/// Cuts `n` items into `ceil(n / max)` contiguous ranges whose sizes
+/// differ by at most one; no items make one empty range.
+fn split(n: usize, max: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
+    let parts = n.div_ceil(max).max(1);
+    let (base, extra) = (n / parts, n % parts);
+    (0..parts).map(move |i| {
+        let lo = i * base + i.min(extra);
+        lo..lo + base + usize::from(i < extra)
+    })
+}
+
+#[derive(Default)]
+struct Queue {
+    parts: VecDeque<Part>,
+    /// Requests with a part still queued: what `queue_capacity` bounds.
+    requests: usize,
 }
 
 struct Shared {
-    queue: Mutex<VecDeque<Request>>,
+    queue: Mutex<Queue>,
     /// Signalled on enqueue and on drain, so sleeping workers wake.
     notify: Condvar,
     draining: AtomicBool,
@@ -193,7 +271,7 @@ impl Batcher {
         drift: Option<Arc<cats_obs::DriftMonitor>>,
     ) -> Self {
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue::default()),
             notify: Condvar::new(),
             draining: AtomicBool::new(false),
             inject_panics: AtomicU32::new(0),
@@ -202,10 +280,14 @@ impl Batcher {
             drain_rate_bits: AtomicU64::new(0f64.to_bits()),
             last_drain_micros: AtomicU64::new(cats_obs::now_micros()),
             slot,
-            config: config.clone(),
+            config: BatchConfig {
+                max_batch_items: config.max_batch_items.max(1),
+                queue_capacity: config.queue_capacity,
+                workers: config.workers.max(1),
+            },
             drift,
         });
-        let workers = (0..config.workers.max(1))
+        let workers = (0..shared.config.workers)
             .map(|i| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
@@ -247,37 +329,68 @@ impl Batcher {
     /// [`Batcher::submit`] with an optional model-version pin: the
     /// request is scored by exactly that generation, or answered with
     /// [`BatchReply::PinUnavailable`] when the process no longer holds
-    /// it.
+    /// it. The request is admitted or rejected whole, however many
+    /// parts it is cut into.
     pub fn submit_pinned(
         &self,
         items: Vec<ScoreItem>,
         pin: Option<u64>,
     ) -> Result<mpsc::Receiver<BatchReply>, RejectReason> {
+        let shared = &self.shared;
         let (reply, rx) = mpsc::channel();
-        {
-            let mut q = cats_obs::lock_recover(&self.shared.queue, "cats.serve.batch.queue");
-            // Checked under the lock: shutdown() flips the flag before
-            // draining the queue, so nothing slips in behind it.
-            if self.shared.draining.load(Ordering::Acquire) {
-                cats_obs::counter("cats.serve.reject.draining").inc();
-                return Err(RejectReason::Draining);
-            }
-            if q.len() >= self.shared.config.queue_capacity {
-                cats_obs::counter("cats.serve.reject.queue_full").inc();
-                return Err(RejectReason::QueueFull);
-            }
-            self.shared.queued_items.fetch_add(items.len() as u64, Ordering::Relaxed);
-            q.push_back(Request { items, pin, enqueued: Instant::now(), reply });
-            cats_obs::gauge("cats.serve.queue.depth").set(q.len() as f64);
+        let model = match pin {
+            None => Ok(shared.slot.load()),
+            Some(v) => shared.slot.load_version(v).ok_or(v),
+        };
+        let mut q = cats_obs::lock_recover(&shared.queue, "cats.serve.batch.queue");
+        // Checked under the lock: shutdown() flips the flag before
+        // draining the queue, so nothing slips in behind it.
+        if shared.draining.load(Ordering::Acquire) {
+            cats_obs::counter("cats.serve.reject.draining").inc();
+            return Err(RejectReason::Draining);
+        }
+        if q.requests >= shared.config.queue_capacity {
+            cats_obs::counter("cats.serve.reject.queue_full").inc();
+            return Err(RejectReason::QueueFull);
         }
         cats_obs::counter("cats.serve.requests").inc();
-        self.shared.notify.notify_one();
+        let model = match model {
+            Ok(model) => model,
+            Err(pinned) => {
+                drop(q);
+                // The pinned generation is gone: answer 409 so the
+                // router re-runs at the current version rather than
+                // silently mixing versions.
+                cats_obs::counter("cats.serve.batch.pin_unavailable").inc();
+                let current = shared.slot.version();
+                let _ = reply.send(BatchReply::PinUnavailable { pinned, current });
+                return Ok(rx);
+            }
+        };
+        let n = items.len();
+        let ranges = split(n, shared.config.max_batch_items);
+        let parts = ranges.len();
+        let done = JobDone { verdicts: vec![Vec::new(); parts], parts_left: parts };
+        let job =
+            Arc::new(Job { items, model, enqueued: Instant::now(), reply, done: Mutex::new(done) });
+        q.parts.extend(ranges.enumerate().map(|(index, range)| Part {
+            job: job.clone(),
+            index,
+            range,
+        }));
+        q.requests += 1;
+        shared.queued_items.fetch_add(n as u64, Ordering::Relaxed);
+        cats_obs::gauge("cats.serve.queue.depth").set(q.requests as f64);
+        drop(q);
+        for _ in 0..parts.min(shared.config.workers) {
+            shared.notify.notify_one();
+        }
         Ok(rx)
     }
 
     /// Requests currently waiting in the queue.
     pub fn queue_depth(&self) -> usize {
-        cats_obs::lock_recover(&self.shared.queue, "cats.serve.batch.queue").len()
+        cats_obs::lock_recover(&self.shared.queue, "cats.serve.batch.queue").requests
     }
 
     /// `Retry-After` seconds for a 429: current queued items over the
@@ -357,7 +470,7 @@ fn worker_loop(shared: &Shared) {
         let mut q = cats_obs::lock_recover(&shared.queue, "cats.serve.batch.queue");
         loop {
             let draining = shared.draining.load(Ordering::Acquire);
-            if q.is_empty() {
+            if q.parts.is_empty() {
                 if draining {
                     return;
                 }
@@ -367,33 +480,36 @@ fn worker_loop(shared: &Shared) {
             q = wait_recover(&shared.notify, q);
         }
 
-        // Work-conserving: pop whole requests at once, until the item
-        // budget is spent. The first request always ships, even if alone
-        // it exceeds the budget.
-        let mut batch: Vec<Request> = Vec::new();
+        // Work-conserving: pop parts until the item budget is spent. No
+        // part exceeds the budget, but the first ships regardless, so a
+        // worker never spins on a part it cannot pop.
+        let mut batch: Vec<Part> = Vec::new();
         let mut items_in_batch = 0usize;
-        while let Some(req) = q.pop_front() {
-            if !batch.is_empty() && items_in_batch + req.items.len() > shared.config.max_batch_items
+        while let Some(part) = q.parts.pop_front() {
+            if !batch.is_empty()
+                && items_in_batch + part.range.len() > shared.config.max_batch_items
             {
-                q.push_front(req);
+                q.parts.push_front(part);
                 break;
             }
-            items_in_batch += req.items.len();
-            batch.push(req);
+            items_in_batch += part.range.len();
+            q.requests -= usize::from(part.is_last());
+            batch.push(part);
         }
-        depth_gauge.set(q.len() as f64);
+        depth_gauge.set(q.requests as f64);
         shared.queued_items.fetch_sub(items_in_batch as u64, Ordering::Relaxed);
-        let more_waiting = !q.is_empty();
+        let more_waiting = !q.parts.is_empty();
         drop(q);
         if more_waiting {
-            // Leftovers (e.g. an oversized tail) belong to the next
-            // worker — wake one now rather than after scoring.
+            // Leftovers belong to the next worker — wake one now rather
+            // than after scoring.
             shared.notify.notify_one();
         }
 
         // Chaos hook: fire an injected panic now that the batch is
-        // popped — its reply senders drop, clients get 500s, and the
-        // supervisor respawns this loop.
+        // popped — its parts never finish, their requests' reply
+        // senders drop, clients get 500s, and the supervisor respawns
+        // this loop.
         if shared
             .inject_panics
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1))
@@ -402,51 +518,29 @@ fn worker_loop(shared: &Shared) {
             panic!("injected batch-worker panic (chaos)");
         }
 
-        // Score outside the lock. Requests are grouped by
-        // their version pin — one model load per group — so every
-        // *request* is still scored by exactly one coherent model even
-        // when a coalesced batch mixes pins mid-rolling-swap.
+        // Score outside the lock. Parts are grouped by the model their
+        // request resolved at submit — one detect call per group — so
+        // every request is still scored by exactly one coherent model
+        // even when a coalesced batch mixes versions mid-rolling-swap.
         batch_size.record(items_in_batch as f64);
-        if let Some(oldest) = batch.iter().map(|r| r.enqueued).min() {
+        if let Some(oldest) = batch.iter().map(|p| p.job.enqueued).min() {
             batch_wait.record(oldest.elapsed().as_secs_f64() * 1e3);
         }
-        let mut groups: Vec<(Option<u64>, Vec<Request>)> = Vec::new();
-        for req in batch {
-            match groups.iter_mut().find(|(p, _)| *p == req.pin) {
-                Some((_, g)) => g.push(req),
-                None => groups.push((req.pin, vec![req])),
+        let mut groups: Vec<(Arc<VersionedModel>, Vec<Part>)> = Vec::new();
+        for part in batch {
+            match groups.iter_mut().find(|(m, _)| Arc::ptr_eq(m, &part.job.model)) {
+                Some((_, g)) => g.push(part),
+                None => groups.push((part.job.model.clone(), vec![part])),
             }
         }
-        for (pin, group) in groups {
-            let model = match pin {
-                None => shared.slot.load(),
-                Some(v) => match shared.slot.load_version(v) {
-                    Some(m) => m,
-                    None => {
-                        // The pinned generation is gone: answer 409 so
-                        // the router re-runs at the current version
-                        // rather than silently mixing versions.
-                        let current = shared.slot.version();
-                        cats_obs::counter("cats.serve.batch.pin_unavailable")
-                            .add(group.len() as u64);
-                        for req in group {
-                            let _ =
-                                req.reply.send(BatchReply::PinUnavailable { pinned: v, current });
-                        }
-                        continue;
-                    }
-                },
-            };
-            let group_items: usize = group.iter().map(|r| r.items.len()).sum();
+        for (model, group) in groups {
+            let group_items: usize = group.iter().map(|p| p.range.len()).sum();
             // Each item's comment list goes in as is; detect segments it
             // into slices of these strings.
-            let comments: Vec<&[String]> = group
-                .iter()
-                .flat_map(|r| r.items.iter())
-                .map(|it| it.comments.as_slice())
-                .collect();
+            let comments: Vec<&[String]> =
+                group.iter().flat_map(Part::items).map(|it| it.comments.as_slice()).collect();
             let sales: Vec<u64> =
-                group.iter().flat_map(|r| r.items.iter()).map(|it| it.sales_volume).collect();
+                group.iter().flat_map(Part::items).map(|it| it.sales_volume).collect();
             let reports = {
                 let _span = cats_obs::span!("cats.serve.batch.detect", { group_items });
                 model.pipeline.detect(&comments, &sales)
@@ -460,13 +554,13 @@ fn worker_loop(shared: &Shared) {
                 }
             }
 
-            // Slice the flat report vector back into per-request replies.
+            // Slice the flat report vector back into per-part verdicts.
             let mut cursor = 0usize;
-            for req in group {
-                let n = req.items.len();
-                let verdicts = reports[cursor..cursor + n]
+            for part in group {
+                let items = part.items();
+                let verdicts = reports[cursor..cursor + items.len()]
                     .iter()
-                    .zip(&req.items)
+                    .zip(items)
                     .map(|(rep, item)| ScoreVerdict {
                         item_id: item.item_id,
                         filter: filter_str(rep.filter).to_string(),
@@ -474,12 +568,8 @@ fn worker_loop(shared: &Shared) {
                         is_fraud: rep.is_fraud,
                     })
                     .collect();
-                cursor += n;
-                // A hung-up client (timed-out request) is not an error.
-                let _ = req.reply.send(BatchReply::Scored(ScoredBatch {
-                    model_version: model.version,
-                    verdicts,
-                }));
+                cursor += items.len();
+                part.finish(verdicts);
             }
         }
         shared.note_drain(items_in_batch as u64);
@@ -492,12 +582,15 @@ mod tests {
     use crate::testutil;
     use cats_core::ItemComments;
 
-    /// A fresh slot over one model trained once per test binary.
-    fn slot() -> Arc<ModelSlot> {
+    /// One model trained once per test binary, as snapshot bytes.
+    fn snapshot() -> &'static [u8] {
         static SNAPSHOT: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
-        let snap =
-            SNAPSHOT.get_or_init(|| testutil::trained(0.0).to_snapshot().to_io2_bytes().unwrap());
-        Arc::new(ModelSlot::new(testutil::restore(snap, 0.0)))
+        SNAPSHOT.get_or_init(|| testutil::trained(0.0).to_snapshot().to_io2_bytes().unwrap())
+    }
+
+    /// A fresh slot over that model.
+    fn slot() -> Arc<ModelSlot> {
+        Arc::new(ModelSlot::new(testutil::restore(snapshot(), 0.0)))
     }
 
     /// Unwraps the scored arm (panics on a 409 reply).
@@ -823,5 +916,176 @@ mod tests {
             classified,
             "one observed row per classified item, none for filtered items"
         );
+    }
+
+    /// Batch cap of the split tests: `3 * CAP + 1` items make 4 parts.
+    const CAP: usize = 4;
+
+    fn capped(slot: Arc<ModelSlot>) -> Batcher {
+        Batcher::new(slot, BatchConfig { max_batch_items: CAP, ..BatchConfig::default() })
+    }
+
+    /// `3 * CAP + 1` items: fraud, normal and low-sales ones.
+    fn mixed_request() -> Vec<ScoreItem> {
+        (0..3 * CAP as u64 + 1)
+            .map(|id| {
+                let mut item = req(id, id % 3 == 0);
+                if id % 5 == 4 {
+                    item.sales_volume = 2;
+                }
+                item
+            })
+            .collect()
+    }
+
+    /// One `detect` call over all of `items`, as verdicts.
+    fn offline(pipeline: &cats_core::CatsPipeline, items: &[ScoreItem]) -> Vec<ScoreVerdict> {
+        let comments: Vec<&[String]> = items.iter().map(|it| it.comments.as_slice()).collect();
+        let sales: Vec<u64> = items.iter().map(|it| it.sales_volume).collect();
+        pipeline
+            .detect(&comments, &sales)
+            .iter()
+            .zip(items)
+            .map(|(rep, item)| ScoreVerdict {
+                item_id: item.item_id,
+                filter: filter_str(rep.filter).to_string(),
+                score: rep.score,
+                is_fraud: rep.is_fraud,
+            })
+            .collect()
+    }
+
+    fn assert_bit_identical(got: &[ScoreVerdict], want: &[ScoreVerdict]) {
+        let bits = |v: &ScoreVerdict| (v.item_id, v.filter.clone(), v.score.to_bits(), v.is_fraud);
+        assert_eq!(
+            got.iter().map(bits).collect::<Vec<_>>(),
+            want.iter().map(bits).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn split_cuts_contiguous_parts_that_differ_by_at_most_one() {
+        let sizes = |n, max| split(n, max).map(|r| r.len()).collect::<Vec<_>>();
+        assert_eq!(sizes(128, 64), [64, 64]);
+        assert_eq!(sizes(70, 64), [35, 35]);
+        assert_eq!(sizes(13, 4), [4, 3, 3, 3]);
+        assert_eq!(sizes(64, 64), [64]);
+        assert_eq!(sizes(0, 64), [0], "an empty request is one empty part");
+        for n in 0..40 {
+            for max in 1..9 {
+                let parts: Vec<Range<usize>> = split(n, max).collect();
+                assert_eq!(parts.len(), n.div_ceil(max).max(1));
+                assert_eq!((parts[0].start, parts[parts.len() - 1].end), (0, n));
+                assert!(parts.windows(2).all(|w| w[0].end == w[1].start), "{n}/{max}");
+                let lens: Vec<usize> = parts.iter().map(Range::len).collect();
+                let (lo, hi) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+                assert!(*hi <= max && hi - lo <= 1, "{n}/{max}: {lens:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_request_over_the_cap_answers_in_order_like_one_detect() {
+        let slot = slot();
+        let batcher = capped(slot.clone());
+        let items = mixed_request();
+        let want = offline(&slot.load().pipeline, &items);
+        assert!(want.iter().any(|v| v.is_fraud), "a fraud verdict");
+        assert!(want.iter().any(|v| v.filter == "classified" && !v.is_fraud), "a normal verdict");
+        assert!(want.iter().any(|v| v.filter == "filtered_low_sales"), "a low-sales item");
+        let hold = batcher.hold_workers();
+        let rx = batcher.submit(items).unwrap();
+        {
+            let q = batcher.shared.queue.lock().unwrap();
+            let lens: Vec<usize> = q.parts.iter().map(|p| p.range.len()).collect();
+            assert_eq!(lens, [4, 3, 3, 3], "four queued parts of at most {CAP} items");
+            assert_eq!(q.requests, 1, "one queued request");
+        }
+        drop(hold);
+        let scored = scored(rx.recv_timeout(Duration::from_secs(30)).unwrap());
+        assert_eq!(scored.model_version, 1);
+        assert_bit_identical(&scored.verdicts, &want);
+        assert_eq!(batcher.queue_depth(), 0);
+    }
+
+    #[test]
+    fn a_swap_after_submit_leaves_every_part_on_the_submitted_model() {
+        let slot = slot();
+        let before = slot.load();
+        let batcher = capped(slot.clone());
+        let items = mixed_request();
+        let hold = batcher.hold_workers();
+        let rx = batcher.submit(items.clone()).unwrap();
+        // Threshold 1.0: the swapped-in model flags nothing.
+        slot.swap(testutil::restore(snapshot(), 0.5));
+        let after = offline(&slot.load().pipeline, &items);
+        let want = offline(&before.pipeline, &items);
+        assert!(after.iter().zip(&want).any(|(a, w)| a.is_fraud != w.is_fraud), "models differ");
+        drop(hold);
+        let scored = scored(rx.recv_timeout(Duration::from_secs(30)).unwrap());
+        assert_eq!(scored.model_version, before.version, "scored on the pre-swap model");
+        assert_bit_identical(&scored.verdicts, &want);
+    }
+
+    #[test]
+    fn a_split_request_with_a_gone_pin_gets_one_conflict() {
+        let batcher = capped(slot());
+        let rx = batcher.submit_pinned(mixed_request(), Some(99)).unwrap();
+        match rx.recv_timeout(Duration::from_secs(30)).unwrap() {
+            BatchReply::PinUnavailable { pinned: 99, current: 1 } => {}
+            other => panic!("expected PinUnavailable, got {other:?}"),
+        }
+        match rx.recv_timeout(Duration::from_secs(1)) {
+            Err(mpsc::RecvTimeoutError::Disconnected) => {}
+            other => panic!("exactly one reply per request, then a hang-up: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_panicking_part_disconnects_its_request_at_once() {
+        let batcher = capped(slot());
+        batcher.inject_worker_panic(1);
+        let rx = batcher.submit((0..2 * CAP as u64).map(|id| req(id, id % 2 == 0)).collect());
+        // One part's worker panics, the other part is scored: the reply
+        // sender drops with the last part, so the caller hears at once.
+        match rx.unwrap().recv_timeout(Duration::from_secs(1)) {
+            Err(mpsc::RecvTimeoutError::Disconnected) => {}
+            other => panic!("expected a dropped reply within 1 s, got {other:?}"),
+        }
+        let rx = batcher.submit(mixed_request()).unwrap();
+        let scored = scored(rx.recv_timeout(Duration::from_secs(30)).unwrap());
+        assert_eq!(scored.verdicts.len(), 3 * CAP + 1, "the next request is scored");
+    }
+
+    /// Multi-part and 8-item requests race a hot swap between two models
+    /// that disagree on fraud verdicts (odd versions flag at 0.5, even
+    /// ones at 1.0). Every answer must come from one version and equal
+    /// that version's offline `detect`.
+    #[test]
+    #[ignore = "200 rounds; run with --ignored"]
+    fn split_requests_stay_single_version_across_swaps_on_every_round() {
+        let slot = slot();
+        let items = mixed_request();
+        let want = [
+            offline(&testutil::restore(snapshot(), 0.0), &items),
+            offline(&testutil::restore(snapshot(), 0.5), &items),
+        ];
+        assert!(want[0][..8].iter().zip(&want[1]).any(|(a, b)| a.is_fraud != b.is_fraud));
+        let batcher = capped(slot.clone());
+        let check = |rx: mpsc::Receiver<BatchReply>| {
+            let scored = scored(rx.recv_timeout(Duration::from_secs(30)).unwrap());
+            let want = &want[usize::from(scored.model_version % 2 == 0)];
+            assert_bit_identical(&scored.verdicts, &want[..scored.verdicts.len()]);
+        };
+        for round in 0..200 {
+            std::thread::scope(|s| {
+                let big = s.spawn(|| batcher.submit(items.clone()).unwrap());
+                let small = s.spawn(|| batcher.submit(items[..8].to_vec()).unwrap());
+                let shift = if round % 2 == 0 { 0.5 } else { 0.0 };
+                slot.swap(testutil::restore(snapshot(), shift));
+                check(big.join().unwrap());
+                check(small.join().unwrap());
+            });
+        }
     }
 }

@@ -300,7 +300,8 @@ mod tests {
 
     #[test]
     fn torn_rewrite_writes_a_strict_prefix() {
-        let path = std::env::temp_dir().join(format!("cats_chaos_tear_{}", std::process::id()));
+        let dir = cats_io::ScratchDir::new("cats_chaos_tear");
+        let path = dir.join("snapshot");
         let bytes = b"CATS-IO2 some payload that will be cut";
         let mut rng = ChaosRng::new(3);
         for _ in 0..20 {
@@ -309,7 +310,6 @@ mod tests {
             assert!(!torn.is_empty() && torn.len() < bytes.len());
             assert_eq!(&bytes[..torn.len()], &torn[..], "a tear is a prefix, not noise");
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! | route               | behaviour                                          |
 //! |---------------------|----------------------------------------------------|
 //! | `POST /v1/score`    | parse → [`crate::Batcher::submit_pinned`] → 200    |
+//! |                     | (cut into `max_batch_items` parts, one answer)     |
 //! | `POST /v1/ingest`   | stream events → windows → batcher on flush → 200   |
 //! | `GET /healthz`      | `ok`/`draining`, model version, queue depth        |
 //! | `GET /metrics`      | `cats-obs` Prometheus exporter (text format 0.0.4) |

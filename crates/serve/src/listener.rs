@@ -124,12 +124,17 @@ fn accept_loop<H: Handler>(
             Ok((stream, _peer)) => {
                 handler.accepted();
                 let handler = handler.clone();
-                let handle = std::thread::Builder::new()
+                let spawned = std::thread::Builder::new()
                     .name(conn_name.to_string())
-                    .spawn(move || serve_connection(stream, &*handler))
-                    .expect("spawn connection handler");
+                    .spawn(move || serve_connection(stream, &*handler));
                 let mut hs = cats_obs::lock_recover(conns, CONNS_LOCK);
-                hs.push(handle);
+                match spawned {
+                    Ok(handle) => hs.push(handle),
+                    // Out of threads: this one connection is dropped (its
+                    // stream went down with the closure) and the loop keeps
+                    // accepting, since nothing would restart it.
+                    Err(_) => cats_obs::counter("cats.serve.http.spawn_failed").inc(),
+                }
                 // Reap finished handlers so the list stays bounded
                 // under sustained load.
                 let mut i = 0;

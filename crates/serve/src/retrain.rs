@@ -474,8 +474,7 @@ mod tests {
 
     #[test]
     fn file_promotion_writes_a_watcher_loadable_snapshot() {
-        let dir = std::env::temp_dir().join(format!("cats_retrain_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = cats_io::ScratchDir::new("cats_retrain");
         let path = dir.join("model.snapshot");
         let slot = Arc::new(ModelSlot::new(testutil::trained(0.0)));
         let snapshot = slot.load().pipeline.to_snapshot();
@@ -500,6 +499,5 @@ mod tests {
         let loaded = crate::model::load_pipeline_file(&path)
             .expect("promoted snapshot must load through the serving path");
         assert!((0.0..=1.0).contains(&loaded.detector().threshold()));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -348,8 +348,7 @@ fn rolling_swap_is_coordinated_and_single_version_under_load() {
     // Persist the snapshot as a CATS-IO2 artifact: the swapped-in model
     // must keep producing verdicts bit-identical to the offline
     // expectations restored from the same bytes.
-    let dir = std::env::temp_dir().join(format!("cats_cluster_test_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create artifact dir");
+    let dir = cats::io::ScratchDir::new("cats_cluster_test");
     let artifact = dir.join("model_v2.cats");
     std::fs::write(&artifact, &s.snapshot).expect("write IO2 artifact");
 
@@ -403,7 +402,6 @@ fn rolling_swap_is_coordinated_and_single_version_under_load() {
     let client = ScoreClient::new(addr);
     let resp = client.score(&s.items[..4]).expect("post-swap score");
     assert_eq!(resp.model_version, 2);
-    let _ = std::fs::remove_dir_all(&dir);
     router.shutdown();
     for s in shards {
         s.shutdown();
@@ -417,8 +415,7 @@ fn pinned_requests_resolve_old_generation_until_it_ages_out() {
     let client = ScoreClient::new(router.addr().to_string());
     let s = setup();
 
-    let dir = std::env::temp_dir().join(format!("cats_cluster_pin_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create artifact dir");
+    let dir = cats::io::ScratchDir::new("cats_cluster_pin");
     let artifact = dir.join("model.cats");
     std::fs::write(&artifact, &s.snapshot).expect("write artifact");
 
@@ -436,7 +433,6 @@ fn pinned_requests_resolve_old_generation_until_it_ages_out() {
         cats::serve::ClientError::Http { status, .. } => assert_eq!(status, 409),
         other => panic!("expected HTTP 409, got {other}"),
     }
-    let _ = std::fs::remove_dir_all(&dir);
     router.shutdown();
     for s in shards {
         s.shutdown();

@@ -102,8 +102,7 @@ fn snapshot_save_load_save_reports_are_byte_identical() {
 
     // The encoding is stable: save → load → save is byte-identical over
     // two generations, so a snapshot survives any number of them.
-    let dir = std::env::temp_dir().join(format!("cats_persist_gen_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let dir = cats::io::ScratchDir::new("cats_persist_gen");
     let paths = [dir.join("gen0.cats"), dir.join("gen1.cats"), dir.join("gen2.cats")];
     snap.save(&paths[0]).expect("save gen0");
     let gen1 = PipelineSnapshot::load(&paths[0]).expect("load gen1");
@@ -141,7 +140,6 @@ fn snapshot_save_load_save_reports_are_byte_identical() {
     let err =
         PipelineSnapshot::from_bytes(&future).map(|_| ()).expect_err("future version rejected");
     assert!(err.to_string().contains("newer than supported"), "{err}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -152,8 +150,7 @@ fn io2_container_corruption_classes_fail_typed_and_never_panic() {
     let (analyzer, gbt) = train_parts(&train, 91);
     let snap = CatsPipeline::snapshot(analyzer, DetectorConfig::default(), gbt);
 
-    let dir = std::env::temp_dir().join(format!("cats_persist_io2_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let dir = cats::io::ScratchDir::new("cats_persist_io2");
     let path = dir.join("model.cats");
 
     snap.save(&path).expect("IO2 save");
@@ -223,8 +220,6 @@ fn io2_container_corruption_classes_fail_typed_and_never_panic() {
         good.as_slice(),
         "decoding ignores the unknown section and re-encodes canonically"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -233,8 +228,7 @@ fn corrupt_snapshot_files_fail_typed_and_never_panic() {
     let (analyzer, gbt) = train_parts(&train, 81);
     let snap = CatsPipeline::snapshot(analyzer, DetectorConfig::default(), gbt);
 
-    let dir = std::env::temp_dir().join(format!("cats_persist_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let dir = cats::io::ScratchDir::new("cats_persist");
     let path = dir.join("model.snapshot");
 
     // The happy path: save is atomic + checksummed, load verifies.
@@ -269,6 +263,4 @@ fn corrupt_snapshot_files_fail_typed_and_never_panic() {
         matches!(err, PersistError::Io(cats::io::IoError::Empty { .. })),
         "want the empty-file error, got: {err}"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

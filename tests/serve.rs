@@ -160,6 +160,23 @@ fn concurrent_clients_get_bit_identical_scores() {
 }
 
 #[test]
+fn a_request_over_the_batch_cap_is_answered_like_offline_detect() {
+    // 200 items on the default config (64-item batches): four parts,
+    // shared by both workers and reassembled in submission order. The
+    // setup has fewer items, so the request runs through them and then
+    // starts over.
+    let (server, _slot) = start(BatchConfig::default());
+    let s = setup();
+    let items: Vec<ScoreItem> = s.items.iter().cycle().take(200).cloned().collect();
+    let resp = ScoreClient::new(server.addr().to_string()).score(&items).expect("score succeeds");
+    assert_eq!(resp.verdicts.len(), 200);
+    for chunk in resp.verdicts.chunks(s.items.len()) {
+        assert_matches_expected(chunk, 0);
+    }
+    server.shutdown();
+}
+
+#[test]
 fn hot_swap_under_load_drops_nothing_and_scores_stay_coherent() {
     // Swaps land between and during batches while requests are
     // continuously in flight.
