@@ -14,7 +14,7 @@
 //! [`cats_ml::model_selection`], not plugged in here.
 
 use crate::features::{
-    extract_batch, extract_view, map_items, DetectItem, FeatureVector, ItemComments, ItemView,
+    extract_batch, map_items, sum_view, DetectItem, FeatureVector, ItemComments, ItemView,
     N_FEATURES,
 };
 use crate::semantic::SemanticAnalyzer;
@@ -115,8 +115,9 @@ pub fn training_dataset(rows: &[FeatureVector], labels: &[u8]) -> Dataset {
 
 /// Stage-1 evidence: any token of any comment in *P*, read from the
 /// analyzer's token table (whose `positive` flag is
-/// `Lexicon::is_positive`). A positive 2-gram contains a positive word,
-/// so this is the whole "no positive n-grams or words" test.
+/// `Lexicon::is_positive`): the scan behind [`Detector::filter_item`],
+/// which extracts nothing. The extracting paths read the same test off
+/// their sums ([`crate::features::TermSums::has_positive_evidence`]).
 fn has_positive_evidence<V: ItemView>(item: &V, analyzer: &SemanticAnalyzer) -> bool {
     let table = analyzer.token_table();
     (0..item.comment_count())
@@ -181,8 +182,14 @@ impl Detector {
         item: &ItemComments,
         analyzer: &SemanticAnalyzer,
     ) -> FilterDecision {
+        self.filter_decision(sales_volume, has_positive_evidence(item, analyzer))
+    }
+
+    /// Stage 1 for an item whose positive evidence is already known —
+    /// the stream engine reads it off its cached sums.
+    pub fn filter_decision(&self, sales_volume: u64, has_evidence: bool) -> FilterDecision {
         match self.sales_rule(sales_volume) {
-            FilterDecision::Classified => self.evidence_rule(item, analyzer),
+            FilterDecision::Classified => self.evidence_rule(has_evidence),
             dropped => dropped,
         }
     }
@@ -196,9 +203,9 @@ impl Detector {
         }
     }
 
-    /// Stage 1's second rule, over the item's tokens.
-    fn evidence_rule<V: ItemView>(&self, item: &V, analyzer: &SemanticAnalyzer) -> FilterDecision {
-        if self.config.require_positive_evidence && !has_positive_evidence(item, analyzer) {
+    /// Stage 1's second rule, given whether the item has a positive word.
+    fn evidence_rule(&self, has_evidence: bool) -> FilterDecision {
+        if self.config.require_positive_evidence && !has_evidence {
             FilterDecision::FilteredNoPositiveEvidence
         } else {
             FilterDecision::Classified
@@ -271,11 +278,12 @@ impl Detector {
     /// copying no text or token.
     ///
     /// The quarantine check and the sales rule need no tokens and run
-    /// first. Each remaining item is then segmented, evidence-tested and
-    /// extracted as one task on the `cats-par` pool, so segmentation
-    /// follows the detector's `Parallelism` and the evidence rule and the
-    /// kernel read the same tokens. The reports are identical at every
-    /// thread count and for either form of the same item.
+    /// first. Each remaining item is then segmented and summed as one
+    /// task on the `cats-par` pool, so segmentation follows the
+    /// detector's `Parallelism`; the evidence rule reads the kernel's
+    /// sums, and only items that pass it finish their row. The reports
+    /// are identical at every thread count and for either form of the
+    /// same item.
     ///
     /// # Panics
     /// Panics if the detector has not been fit, or if
@@ -311,9 +319,9 @@ impl Detector {
         let pending: Vec<usize> =
             (0..items.len()).filter(|&i| decisions[i] == FilterDecision::Classified).collect();
         let rows = map_items(self.config.parallelism.threads, pending.len(), |k| {
-            let view = items[pending[k]].view();
-            match self.evidence_rule(&view, analyzer) {
-                FilterDecision::Classified => Ok(extract_view(&view, analyzer)),
+            let (sums, distinct) = sum_view(&items[pending[k]].view(), analyzer);
+            match self.evidence_rule(sums.has_positive_evidence()) {
+                FilterDecision::Classified => Ok(sums.finish(distinct)),
                 dropped => Err(dropped),
             }
         });

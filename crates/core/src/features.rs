@@ -20,7 +20,7 @@
 //! paper notes its extractor "is implemented in a parallelized style for
 //! fast processing".
 
-use crate::semantic::SemanticAnalyzer;
+use crate::semantic::{SemanticAnalyzer, WordKey};
 use cats_sentiment::LaneSums;
 use cats_text::segment::is_punctuation_token;
 use cats_text::{stats, Segmenter, WhitespaceSegmenter};
@@ -310,95 +310,212 @@ pub fn extract(item: &ItemComments, analyzer: &SemanticAnalyzer) -> FeatureVecto
     extract_view(item, analyzer)
 }
 
+/// One comment's terms of the 11 features: the per-comment half of the
+/// kernel. An item's row is the [`TermSums`] of its comments' terms,
+/// divided by its distinct and total words.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct CommentTerms {
+    /// Words in *P*.
+    pub positive: usize,
+    /// `|#P − #N|`.
+    pub polarity_gap: usize,
+    /// Sentiment score.
+    pub sentiment: f64,
+    /// Token entropy in bits.
+    pub entropy: f64,
+    /// Characters, ASCII whitespace excluded.
+    pub chars: usize,
+    /// Punctuation tokens.
+    pub punctuation: usize,
+    /// Punctuation tokens over words (0 for no words).
+    pub punctuation_ratio: f64,
+    /// Bigrams with a word in *P*.
+    pub positive_bigrams: usize,
+    /// Positive bigrams over bigram positions (0 for fewer than two
+    /// words).
+    pub ngram_ratio: f64,
+    /// Tokens.
+    pub words: usize,
+}
+
+/// The per-item fold of [`CommentTerms`]: every sum starts at `0.0` (or
+/// 0) and adds the terms in comment order, so equal term sequences give
+/// equal rows to the bit, whoever computed the terms.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TermSums {
+    comments: usize,
+    words: usize,
+    positive: f64,
+    polarity_gap: f64,
+    sentiment: f64,
+    entropy: f64,
+    chars: usize,
+    punctuation: usize,
+    punctuation_ratio: f64,
+    positive_bigrams: f64,
+    ngram_ratio: f64,
+}
+
+impl TermSums {
+    /// Adds the next comment's terms.
+    pub fn add(&mut self, t: &CommentTerms) {
+        self.comments += 1;
+        self.words += t.words;
+        self.positive += t.positive as f64;
+        self.polarity_gap += t.polarity_gap as f64;
+        self.sentiment += t.sentiment;
+        self.entropy += t.entropy;
+        self.chars += t.chars;
+        self.punctuation += t.punctuation;
+        self.punctuation_ratio += t.punctuation_ratio;
+        self.positive_bigrams += t.positive_bigrams as f64;
+        self.ngram_ratio += t.ngram_ratio;
+    }
+
+    /// Comments added.
+    pub fn comments(&self) -> usize {
+        self.comments
+    }
+
+    /// Stage 1's evidence: some word in *P*. A positive 2-gram contains
+    /// a positive word, so this is the whole "no positive n-grams or
+    /// words" test.
+    pub fn has_positive_evidence(&self) -> bool {
+        self.positive > 0.0
+    }
+
+    /// The feature row, given the number of distinct words over the
+    /// comments added. No comments give the neutral row of
+    /// [`extract`].
+    pub fn finish(&self, distinct_words: usize) -> FeatureVector {
+        if self.comments == 0 {
+            let mut v = [0.0; N_FEATURES];
+            v[2] = 1.0; // uniqueWordRatio of nothing
+            v[3] = 0.5; // neutral sentiment
+            return FeatureVector(v);
+        }
+        let n = self.comments as f64;
+        let unique = if self.words == 0 { 1.0 } else { distinct_words as f64 / self.words as f64 };
+        FeatureVector([
+            self.positive / n,
+            self.polarity_gap / n,
+            unique,
+            self.sentiment / n,
+            self.entropy / n,
+            self.chars as f64 / n,
+            self.chars as f64,
+            self.punctuation as f64,
+            self.punctuation_ratio / n,
+            self.positive_bigrams / n,
+            self.ngram_ratio / n,
+        ])
+    }
+}
+
+/// The terms of one comment given as its text and tokens (slices of
+/// the text, or any strings), handing `on_word` the key of each token in
+/// order: how the kernel counts it among the item's distinct words.
+pub fn comment_terms<'t, T: AsRef<str>>(
+    text: &str,
+    tokens: &'t [T],
+    analyzer: &SemanticAnalyzer,
+    mut on_word: impl FnMut(WordKey<'t>),
+) -> CommentTerms {
+    let mut counter = stats::TokenCounter::with_id_capacity(tokens.len(), tokens.len());
+    counted_terms(text, tokens, analyzer, &mut counter, &mut String::new(), &mut on_word)
+}
+
+/// The per-comment step of the kernel. Each token costs one probe of the
+/// analyzer's token table, which hashes its string once and returns its
+/// entry and, for a known word, its dense id; then one insert into
+/// `counter`, keyed by that id (an integer hash) or, for an unknown word,
+/// by the string; `on_word` gets the same key. The counter gives the
+/// comment's entropy and keeps the item's distinct words. `bigram_key`
+/// is scratch for the sentiment model's bigram features.
+fn counted_terms<'t, T: AsRef<str>>(
+    text: &str,
+    tokens: &'t [T],
+    analyzer: &SemanticAnalyzer,
+    counter: &mut stats::TokenCounter<'t>,
+    bigram_key: &mut String,
+    on_word: &mut impl FnMut(WordKey<'t>),
+) -> CommentTerms {
+    let table = analyzer.token_table();
+    let sentiment = analyzer.sentiment();
+    let (mut pos, mut neg, mut punct, mut pos_bigrams) = (0usize, 0usize, 0usize, 0usize);
+    let mut prev_pos = false;
+    let mut sums = LaneSums::default();
+    for (i, t) in tokens.iter().enumerate() {
+        let t = t.as_ref();
+        let (id, info) = table.lookup(t);
+        pos += usize::from(info.positive);
+        neg += usize::from(info.negative);
+        // A bigram is in G when either of its words is in P.
+        pos_bigrams += usize::from(i > 0 && (prev_pos || info.positive));
+        prev_pos = info.positive;
+        punct += usize::from(is_punctuation_token(t));
+        sums.add(info.log_likelihoods);
+        match id {
+            Some(id) => {
+                counter.add_id(id);
+                on_word(WordKey::Known(id));
+            }
+            None => {
+                counter.add(t);
+                on_word(WordKey::Unknown(t));
+            }
+        }
+    }
+    sentiment.add_bigrams(tokens, &mut sums, bigram_key);
+
+    let words = tokens.len();
+    let bigram_positions = words.saturating_sub(1);
+    CommentTerms {
+        positive: pos,
+        polarity_gap: pos.abs_diff(neg),
+        sentiment: sentiment.finish(&sums),
+        entropy: counter.end_comment(words).0,
+        chars: stats::char_length(text),
+        punctuation: punct,
+        punctuation_ratio: if words == 0 { 0.0 } else { punct as f64 / words as f64 },
+        positive_bigrams: pos_bigrams,
+        ngram_ratio: if bigram_positions == 0 {
+            0.0
+        } else {
+            pos_bigrams as f64 / bigram_positions as f64
+        },
+        words,
+    }
+}
+
 /// The extraction kernel, over any [`ItemView`]: owned tokens
 /// ([`extract`]) or slices of the raw texts ([`crate::Detector::detect`]).
-///
-/// One pass over each comment's tokens computes every feature. Each token
-/// costs one probe of the analyzer's token table, which hashes its string
-/// once and returns its entry and, for a known word, its dense id; then
-/// one insert into the item's [`stats::TokenCounter`], keyed by that id
-/// (an integer hash) or, for an unknown word, by the string. The counter
-/// yields both the per-comment entropy and the item's distinct words.
 pub(crate) fn extract_view<V: ItemView + ?Sized>(
     item: &V,
     analyzer: &SemanticAnalyzer,
 ) -> FeatureVector {
-    let n = item.comment_count();
-    if n == 0 {
-        let mut v = [0.0; N_FEATURES];
-        v[2] = 1.0; // uniqueWordRatio of nothing
-        v[3] = 0.5; // neutral sentiment
-        return FeatureVector(v);
-    }
-    let nf = n as f64;
-    let table = analyzer.token_table();
-    let sentiment = analyzer.sentiment();
+    let (sums, distinct) = sum_view(item, analyzer);
+    sums.finish(distinct)
+}
 
+/// The [`TermSums`] of an item's comments and its number of distinct
+/// words: one pass over each comment's tokens, one counter for the item.
+pub(crate) fn sum_view<V: ItemView + ?Sized>(
+    item: &V,
+    analyzer: &SemanticAnalyzer,
+) -> (TermSums, usize) {
+    let n = item.comment_count();
     let comment_lens = || (0..n).map(|i| item.comment(i).1.len());
     let total_words: usize = comment_lens().sum();
     let longest = comment_lens().max().unwrap_or(0);
     let mut counter = stats::TokenCounter::with_id_capacity(total_words, longest);
     let mut bigram_key = String::new();
-
-    let mut sum_pos = 0.0;
-    let mut sum_pos_neg_diff = 0.0;
-    let mut sum_sentiment = 0.0;
-    let mut sum_entropy = 0.0;
-    let mut sum_chars = 0usize;
-    let mut sum_punct = 0usize;
-    let mut sum_punct_ratio = 0.0;
-    let mut sum_ngram = 0.0;
-    let mut sum_ngram_ratio = 0.0;
-
+    let mut sums = TermSums::default();
     for c in 0..n {
         let (text, toks) = item.comment(c);
-        let (mut pos, mut neg, mut punct, mut pos_bigrams) = (0usize, 0usize, 0usize, 0usize);
-        let mut prev_pos = false;
-        let mut sums = LaneSums::default();
-        for (i, t) in toks.iter().enumerate() {
-            let t = t.as_ref();
-            let (id, info) = table.lookup(t);
-            pos += usize::from(info.positive);
-            neg += usize::from(info.negative);
-            // A bigram is in G when either of its words is in P.
-            pos_bigrams += usize::from(i > 0 && (prev_pos || info.positive));
-            prev_pos = info.positive;
-            punct += usize::from(is_punctuation_token(t));
-            sums.add(info.log_likelihoods);
-            match id {
-                Some(id) => counter.add_id(id),
-                None => counter.add(t),
-            }
-        }
-        sentiment.add_bigrams(toks, &mut sums, &mut bigram_key);
-
-        let words = toks.len();
-        let bigram_positions = words.saturating_sub(1);
-        sum_pos += pos as f64;
-        sum_pos_neg_diff += pos.abs_diff(neg) as f64;
-        sum_sentiment += sentiment.finish(&sums);
-        sum_entropy += counter.end_comment(words).0;
-        sum_chars += stats::char_length(text);
-        sum_punct += punct;
-        sum_punct_ratio += if words == 0 { 0.0 } else { punct as f64 / words as f64 };
-        sum_ngram += pos_bigrams as f64;
-        sum_ngram_ratio +=
-            if bigram_positions == 0 { 0.0 } else { pos_bigrams as f64 / bigram_positions as f64 };
+        sums.add(&counted_terms(text, toks, analyzer, &mut counter, &mut bigram_key, &mut |_| {}));
     }
-
-    FeatureVector([
-        sum_pos / nf,
-        sum_pos_neg_diff / nf,
-        if total_words == 0 { 1.0 } else { counter.distinct() as f64 / total_words as f64 },
-        sum_sentiment / nf,
-        sum_entropy / nf,
-        sum_chars as f64 / nf,
-        sum_chars as f64,
-        sum_punct as f64,
-        sum_punct_ratio / nf,
-        sum_ngram / nf,
-        sum_ngram_ratio / nf,
-    ])
+    (sums, counter.distinct())
 }
 
 /// Parallel batch extraction: one feature row per item, order-preserving.
@@ -426,8 +543,9 @@ where
 /// per-item latency percentiles without locking. Both feature paths,
 /// [`extract_batch`] and [`crate::Detector::detect`], run through here,
 /// so the item span always covers segmentation (a no-op for
-/// [`ItemComments`]) plus extraction.
-pub(crate) fn map_items<R, F>(n_threads: usize, n: usize, per_item: F) -> Vec<R>
+/// [`ItemComments`]) plus extraction. The stream engine maps its dirty
+/// windows through it too.
+pub fn map_items<R, F>(n_threads: usize, n: usize, per_item: F) -> Vec<R>
 where
     R: Send + Sync,
     F: Fn(usize) -> R + Sync,

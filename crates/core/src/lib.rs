@@ -41,4 +41,4 @@ pub use pipeline::{
     SNAPSHOT_FORMAT_VERSION,
 };
 pub use report::{DataHealth, DetectionSummary};
-pub use semantic::{SemanticAnalyzer, SemanticConfig};
+pub use semantic::{SemanticAnalyzer, SemanticConfig, WordKey};

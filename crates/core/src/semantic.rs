@@ -14,6 +14,7 @@ use cats_sentiment::SentimentModel;
 use cats_text::hash::BuildWordHasher;
 use cats_text::{Corpus, Lexicon, Segmenter, WhitespaceSegmenter};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of semantic-analyzer training.
 #[derive(Debug, Clone, Copy, Default)]
@@ -40,6 +41,23 @@ pub struct SemanticAnalyzer {
     lexicon: Lexicon,
     sentiment: SentimentModel,
     table: TokenTable,
+    /// See [`SemanticAnalyzer::instance_id`].
+    instance: u64,
+}
+
+/// The last [`SemanticAnalyzer::instance_id`] handed out.
+static LAST_INSTANCE: AtomicU64 = AtomicU64::new(0);
+
+/// A word as the feature extractor counts it toward `uniqueWordRatio`:
+/// a word the model knows by its token-table id (one per known word),
+/// any other by its text. Two tokens are the same word exactly
+/// when their keys are equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum WordKey<'t> {
+    /// A word of the lexicon or the sentiment vocabulary.
+    Known(u32),
+    /// Any other word.
+    Unknown(&'t str),
 }
 
 /// What the feature extractor needs to know about one token.
@@ -213,7 +231,16 @@ impl SemanticAnalyzer {
     /// Builds an analyzer from already-trained parts (e.g. deserialized).
     pub fn from_parts(lexicon: Lexicon, sentiment: SentimentModel) -> Self {
         let table = TokenTable::build(&lexicon, &sentiment);
-        Self { lexicon, sentiment, table }
+        let instance = LAST_INSTANCE.fetch_add(1, Ordering::Relaxed) + 1;
+        Self { lexicon, sentiment, table, instance }
+    }
+
+    /// An id no other analyzer built in this process has; a clone keeps
+    /// it, as it computes the same features. Caches of per-comment
+    /// feature terms key on it (an address could be reused by a later
+    /// model).
+    pub fn instance_id(&self) -> u64 {
+        self.instance
     }
 
     /// The analyzer as its two `CATS-IO2` sections, `(lexicon,

@@ -7,7 +7,7 @@
 //! |---------------------|----------------------------------------------------|
 //! | `POST /v1/score`    | parse → [`crate::Batcher::submit_pinned`] → 200    |
 //! |                     | (cut into `max_batch_items` parts, one answer)     |
-//! | `POST /v1/ingest`   | stream events → windows → batcher on flush → 200   |
+//! | `POST /v1/ingest`   | stream events → windows → scored in place on flush |
 //! | `GET /healthz`      | `ok`/`draining`, model version, queue depth        |
 //! | `GET /metrics`      | `cats-obs` Prometheus exporter (text format 0.0.4) |
 //! | `GET /metrics.json` | serde snapshot of the registry (router merges it)  |
@@ -18,14 +18,14 @@
 //! the recent drain rate, a draining server answers 503, an oversized
 //! body answers 413 — all in microseconds. A request pinned to a model
 //! version this process no longer holds answers 409 (the cluster router
-//! re-runs it at the current version). `score` and `ingest` share that
-//! mapping through one helper, `await_batch`.
+//! re-runs it at the current version). `score` maps batcher outcomes
+//! through one helper, `await_batch`.
 
 use crate::batcher::{BatchConfig, BatchReply, Batcher, RejectReason, ScoredBatch, WorkerHold};
 use crate::listener::{write_json, write_json_error, write_response, Handler, Listener, Request};
 use crate::model::ModelSlot;
 use crate::wire::{
-    AdminLoadRequest, AdminLoadResponse, HealthResponse, IngestResponse, ScoreItem, ScoreResponse,
+    AdminLoadRequest, AdminLoadResponse, HealthResponse, IngestResponse, ScoreResponse,
     WireSnapshot,
 };
 use cats_stream::{CommentEvent, StreamConfig, StreamEngine};
@@ -43,7 +43,12 @@ pub struct ServeConfig {
     pub addr: String,
     /// Micro-batcher tuning.
     pub batch: BatchConfig,
-    /// Sliding-window tuning for `POST /v1/ingest`.
+    /// Sliding-window tuning for `POST /v1/ingest`. The default scores
+    /// on one thread: a served flush computes terms only for the
+    /// comments new since the last one (a mean of ~147 over ~124 items
+    /// in `perf/`'s `ingest_stream`), and on a 2-vCPU host the pool's
+    /// per-flush threads made that step slower (p50 1.23 ms against
+    /// 0.69 ms) and the workload's p90 latency ~8% worse.
     pub stream: StreamConfig,
 }
 
@@ -52,7 +57,7 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:7878".to_string(),
             batch: BatchConfig::default(),
-            stream: StreamConfig::default(),
+            stream: StreamConfig { threads: 1, ..StreamConfig::default() },
         }
     }
 }
@@ -61,12 +66,12 @@ struct ServerShared {
     batcher: Batcher,
     slot: Arc<ModelSlot>,
     /// Sliding-window state behind `/v1/ingest`. One engine per server:
-    /// ingest holds the lock for O(1) ring updates only; scoring goes
-    /// through the (unlocked) micro-batcher.
+    /// ingest holds the lock for its ring updates and, at a flush
+    /// boundary, for the flush, which sums cached per-comment terms.
     stream: Mutex<StreamEngine>,
-    /// Drift monitor, fed by the batch workers and surfaced on
-    /// `/healthz` as degraded mode (DESIGN.md §15). `None` when the
-    /// model carries no feature reference.
+    /// Drift monitor, fed by the batch workers and ingest flushes and
+    /// surfaced on `/healthz` as degraded mode (DESIGN.md §15). `None`
+    /// when the model carries no feature reference.
     drift: Option<Arc<cats_obs::DriftMonitor>>,
 }
 
@@ -285,18 +290,19 @@ fn score(stream: &mut TcpStream, shared: &ServerShared, body: &str) -> u16 {
 }
 
 /// `POST /v1/ingest`: feed comment events into the sliding-window
-/// engine. Ingest itself is O(1) per event under a short lock; when the
-/// batch pushes the virtual clock over a flush boundary, every item
-/// touched since the last flush is re-scored through the *same
-/// micro-batcher* as `/v1/score` — same coalescing with concurrent
-/// score traffic, same 429/503 backpressure, same model versioning —
-/// and each content score is fused with the item's velocity risk
-/// ([`cats_core::fusion`]). Between flush boundaries the response
+/// engine, under one lock. Ingest is O(1) per event, and each event's
+/// text moves into its window. When the batch pushes the virtual clock
+/// over a flush boundary, the engine scores every item touched since the
+/// last flush in place, with the one model resolved for that flush: each
+/// windowed comment's feature terms are computed once and cached, so a
+/// flush sums cached terms and runs one FlatForest descent per window
+/// before fusing the content score with the item's velocity risk
+/// ([`cats_core::fusion`]). Classified window rows go to the drift
+/// monitor, as batched rows do. Between flush boundaries the response
 /// carries counts only (`verdicts: []`).
 ///
-/// A rejected flush (429/503/504) loses that interval's dirty set; the
-/// affected items are simply re-scored at the next flush that touches
-/// them — incremental verdicts are a stream, not a ledger.
+/// A flush does not go through the micro-batcher, so ingest answers no
+/// 429, 503 or 504 and loses no interval's dirty set.
 fn ingest(stream: &mut TcpStream, shared: &ServerShared, body: &str) -> u16 {
     let events = match crate::wire::parse_ingest_request(body) {
         Ok(events) => events,
@@ -306,80 +312,42 @@ fn ingest(stream: &mut TcpStream, shared: &ServerShared, body: &str) -> u16 {
         }
     };
 
-    // Window updates under the lock; scoring strictly outside it.
-    let (accepted, late_dropped, watermark_ms, slices, fusion_weight) = {
+    let posted = events.len() as u64;
+    let (late_dropped, watermark_ms, flushed) = {
         let mut engine = cats_obs::lock_recover(&shared.stream, "cats.serve.http.stream");
         let late_before = engine.late_dropped();
-        for ev in &events {
-            let _ = engine.ingest(&CommentEvent {
+        for ev in events {
+            let _ = engine.ingest_owned(CommentEvent {
                 at_ms: ev.at_ms,
                 item_id: ev.item_id,
                 user_id: ev.user_id,
                 sales_volume: ev.sales_volume,
-                text: ev.text.clone(),
+                text: ev.text,
             });
         }
         let late = engine.late_dropped() - late_before;
-        let slices = if engine.flush_due() { engine.drain_window_slices() } else { Vec::new() };
-        (
-            events.len() as u64 - late,
-            late,
-            engine.watermark_ms(),
-            slices,
-            engine.config().fusion_weight,
-        )
+        let flushed = engine.flush_due().then(|| {
+            let model = shared.slot.load();
+            let verdicts = engine.flush_observing(&model.pipeline, |row| {
+                if let Some(monitor) = &shared.drift {
+                    monitor.observe_row(&row.0);
+                }
+            });
+            (model.version, verdicts)
+        });
+        (late, engine.watermark_ms(), flushed)
     };
 
-    if slices.is_empty() {
-        let resp = IngestResponse {
-            model_version: shared.slot.version(),
-            accepted,
-            late_dropped,
-            watermark_ms,
-            verdicts: Vec::new(),
-        };
-        write_json(stream, &resp);
-        return 200;
-    }
-
-    let items: Vec<ScoreItem> = slices
-        .iter()
-        .map(|s| ScoreItem {
-            item_id: s.item_id,
-            sales_volume: s.sales_volume,
-            comments: s.comments.texts.clone(),
-        })
-        .collect();
-    let scored = match await_batch(stream, shared, shared.batcher.submit(items)) {
-        Ok(scored) => scored,
-        Err(status) => return status,
+    let (model_version, verdicts) = match flushed {
+        Some((version, verdicts)) => {
+            cats_obs::counter("cats.serve.ingest.flushes").inc();
+            (version, verdicts)
+        }
+        None => (shared.slot.version(), Vec::new()),
     };
-    // Read the threshold from the model that actually scored the batch
-    // (fall back to current across a concurrent swap).
-    let model =
-        shared.slot.load_version(scored.model_version).unwrap_or_else(|| shared.slot.load());
-    let threshold = model.pipeline.detector().threshold();
-    let verdicts = slices
-        .iter()
-        .zip(&scored.verdicts)
-        .map(|(s, v)| {
-            let risk = cats_core::velocity_risk(&s.velocity);
-            let fused = cats_core::fuse_scores(v.score, risk, fusion_weight);
-            cats_core::StreamVerdict {
-                item_id: s.item_id,
-                at_ms: watermark_ms,
-                window_comments: s.comments.len() as u32,
-                cats_score: v.score,
-                velocity_risk: risk,
-                fused_score: fused,
-                is_fraud: fused >= threshold,
-            }
-        })
-        .collect();
-    cats_obs::counter("cats.serve.ingest.flushes").inc();
     let resp = IngestResponse {
-        model_version: scored.model_version,
-        accepted,
+        model_version,
+        accepted: posted - late_dropped,
         late_dropped,
         watermark_ms,
         verdicts,

@@ -20,10 +20,10 @@
 //!    `cats-par` pool). Queue overflow and drain are surfaced as typed
 //!    rejections, not stalls.
 //! 4. **HTTP server** ([`http`]): the routes `POST /v1/score`,
-//!    `POST /v1/ingest` (the `cats-stream` sliding-window lane, flushing
-//!    through the same micro-batcher), `GET /healthz` and `GET /metrics`
-//!    (the `cats-obs` Prometheus exporter), mapping [`RejectReason`] to
-//!    429/503 and draining gracefully on shutdown.
+//!    `POST /v1/ingest` (the `cats-stream` sliding-window lane, whose
+//!    flushes score cached per-comment terms in place), `GET /healthz`
+//!    and `GET /metrics` (the `cats-obs` Prometheus exporter), mapping
+//!    [`RejectReason`] to 429/503 and draining gracefully on shutdown.
 //!    The server and the cluster [`router`] share one private front end
 //!    (`listener`): bind, accept loop, connection threads, request limits.
 //!

@@ -67,7 +67,8 @@ impl Listener {
     /// so a taken address fails before anything else is built. Accepts
     /// on a thread named `cats-{name}-accept`; each connection gets a
     /// thread named `cats-{name}-conn` that reads one request and hands
-    /// it to the handler, which is also returned to the owner.
+    /// it to the handler, which is also returned to the owner. A failed
+    /// spawn of the accept thread is returned as its error.
     pub(crate) fn start<H: Handler>(
         addr: &str,
         name: &str,
@@ -84,8 +85,7 @@ impl Listener {
             let conn_name = format!("cats-{name}-conn");
             std::thread::Builder::new()
                 .name(format!("cats-{name}-accept"))
-                .spawn(move || accept_loop(&socket, &stop, &conns, &conn_name, &handler))
-                .expect("spawn accept loop")
+                .spawn(move || accept_loop(&socket, &stop, &conns, &conn_name, &handler))?
         };
         Ok((Self { local_addr, stop, accept_thread: Some(accept_thread), conns }, handler))
     }

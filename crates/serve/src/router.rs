@@ -204,7 +204,8 @@ pub struct Router {
 
 impl Router {
     /// Binds the router over the given shard addresses and starts the
-    /// accept loop and the health prober.
+    /// accept loop and the health prober. If the prober thread cannot
+    /// start, the accept loop is stopped and the spawn error returned.
     pub fn start(shard_addrs: Vec<String>, config: RouterConfig) -> std::io::Result<Router> {
         let shards = shard_addrs
             .into_iter()
@@ -219,7 +220,7 @@ impl Router {
         let ring = HashRing::new(shards.len(), config.virtual_nodes);
         let initial = config.initial_artifact.clone().map(|p| (p, 1));
         let addr = config.addr.clone();
-        let (listener, shared) = Listener::start(&addr, "router", || RouterShared {
+        let (mut listener, shared) = Listener::start(&addr, "router", || RouterShared {
             shards,
             ring,
             cluster_version: AtomicU64::new(1),
@@ -228,14 +229,19 @@ impl Router {
             stop: AtomicBool::new(false),
             config,
         })?;
-        let prober_thread = {
+        let prober = {
             let shared = shared.clone();
             std::thread::Builder::new()
                 .name("cats-router-probe".into())
                 .spawn(move || prober_loop(&shared))
-                .expect("spawn router prober")
         };
-        Ok(Router { shared, listener, prober_thread: Some(prober_thread) })
+        match prober {
+            Ok(prober) => Ok(Router { shared, listener, prober_thread: Some(prober) }),
+            Err(e) => {
+                listener.shutdown(|| {});
+                Err(e)
+            }
+        }
     }
 
     /// The bound address (resolves port 0 to the real port).

@@ -441,14 +441,14 @@ fn post_ingest(addr: SocketAddr, body: &str) -> (u16, String) {
     (status, body)
 }
 
-#[test]
-fn served_ingest_matches_in_process_stream_replay() {
+/// The ingest events of a 3-minute D1 trace.
+fn ingest_events() -> Vec<IngestEvent> {
     let platform = datasets::d1(0.0005, 83);
     let trace = TemporalTrace::from_platform(
         &platform,
         &TraceConfig { seed: 83, duration_ms: 3 * 60 * 1000, ..TraceConfig::default() },
     );
-    let events: Vec<IngestEvent> = trace
+    trace
         .events
         .iter()
         .map(|e| IngestEvent {
@@ -458,14 +458,31 @@ fn served_ingest_matches_in_process_stream_replay() {
             sales_volume: e.sales_volume,
             text: e.content.clone(),
         })
-        .collect();
+        .collect()
+}
+
+/// An ingest event as the in-process engine takes it.
+fn comment_event(e: &IngestEvent) -> CommentEvent {
+    CommentEvent {
+        at_ms: e.at_ms,
+        item_id: e.item_id,
+        user_id: e.user_id,
+        sales_volume: e.sales_volume,
+        text: e.text.clone(),
+    }
+}
+
+fn verdict_bits(v: &StreamVerdict) -> (u64, u64, u32, bool, [u64; 3]) {
+    let scores = [v.cats_score.to_bits(), v.velocity_risk.to_bits(), v.fused_score.to_bits()];
+    (v.item_id, v.at_ms, v.window_comments, v.is_fraud, scores)
+}
+
+#[test]
+fn served_ingest_matches_in_process_stream_replay() {
+    let events = ingest_events();
     let (server, _slot) = start(BatchConfig::default());
     let pipeline = restore(&setup().snapshot);
     let mut engine = StreamEngine::new(ServeConfig::default().stream);
-    let bits = |v: &StreamVerdict| {
-        let scores = [v.cats_score.to_bits(), v.velocity_risk.to_bits(), v.fused_score.to_bits()];
-        (v.item_id, v.at_ms, v.window_comments, v.is_fraud, scores)
-    };
     let mut flushes = 0;
     for (n, post) in events.chunks(64).enumerate() {
         let body = serde_json::to_string(post).expect("events encode");
@@ -475,13 +492,7 @@ fn served_ingest_matches_in_process_stream_replay() {
 
         let late_before = engine.late_dropped();
         for e in post {
-            engine.ingest(&CommentEvent {
-                at_ms: e.at_ms,
-                item_id: e.item_id,
-                user_id: e.user_id,
-                sales_volume: e.sales_volume,
-                text: e.text.clone(),
-            });
+            engine.ingest(&comment_event(e));
         }
         let late = engine.late_dropped() - late_before;
         let expected = if engine.flush_due() { engine.flush(&pipeline) } else { Vec::new() };
@@ -490,7 +501,7 @@ fn served_ingest_matches_in_process_stream_replay() {
         assert_eq!(served.watermark_ms, engine.watermark_ms(), "post {n}: watermark_ms");
         assert_eq!(served.verdicts.len(), expected.len(), "post {n}: verdict count");
         for (got, want) in served.verdicts.iter().zip(&expected) {
-            assert_eq!(bits(got), bits(want), "post {n}: item {} verdict", want.item_id);
+            assert_eq!(verdict_bits(got), verdict_bits(want), "post {n}: item {}", want.item_id);
         }
         flushes += usize::from(!expected.is_empty());
     }
@@ -498,5 +509,56 @@ fn served_ingest_matches_in_process_stream_replay() {
 
     let (status, body) = post_ingest(server.addr(), "[{\"at_ms\": ");
     assert_eq!(status, 400, "malformed ingest body: {body}");
+    server.shutdown();
+}
+
+/// A model swap between two flush posts: each flush is scored, and
+/// thresholded, by the one model current when it ran, and its window
+/// terms are rebuilt for the new model — as an in-process replay that
+/// swaps at the same post computes them.
+#[test]
+fn served_ingest_matches_a_replay_across_a_model_swap() {
+    const THRESHOLD_AFTER_SWAP: f64 = 0.2;
+    let events = ingest_events();
+    let (server, slot) = start(BatchConfig::default());
+    let swapped = || {
+        let mut p = restore(&setup().snapshot);
+        p.detector_mut().set_threshold(THRESHOLD_AFTER_SWAP);
+        p
+    };
+    let before = restore(&setup().snapshot);
+    let after = swapped();
+    let mut pipeline = &before;
+    let mut engine = StreamEngine::new(ServeConfig::default().stream);
+    let (mut flushes, mut version, mut swap_flips) = (0, 1, 0);
+    for (n, post) in events.chunks(64).enumerate() {
+        let body = serde_json::to_string(post).expect("events encode");
+        let (status, body) = post_ingest(server.addr(), &body);
+        assert_eq!(status, 200, "post {n}: {body}");
+        let served: IngestResponse = serde_json::from_str(&body).expect("ingest response parses");
+
+        for e in post {
+            engine.ingest(&comment_event(e));
+        }
+        let expected = if engine.flush_due() { engine.flush(pipeline) } else { Vec::new() };
+        assert_eq!(served.model_version, version, "post {n}: model version");
+        assert_eq!(served.verdicts.len(), expected.len(), "post {n}: verdict count");
+        for (got, want) in served.verdicts.iter().zip(&expected) {
+            assert_eq!(verdict_bits(got), verdict_bits(want), "post {n}: item {}", want.item_id);
+        }
+        if version == 2 {
+            // Verdicts the old threshold would have called otherwise.
+            let old = before.detector().threshold();
+            swap_flips += expected.iter().filter(|v| v.fused_score < old && v.is_fraud).count();
+        }
+        flushes += usize::from(!expected.is_empty());
+        if flushes == 3 && version == 1 {
+            version = slot.swap(swapped());
+            pipeline = &after;
+        }
+    }
+    assert_eq!(version, 2, "the trace must cross 3 flush boundaries before the swap");
+    assert!(flushes >= 5, "the trace must flush after the swap, flushed {flushes}");
+    assert!(swap_flips > 0, "no verdict depends on which model's threshold applies");
     server.shutdown();
 }
