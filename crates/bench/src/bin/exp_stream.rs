@@ -11,8 +11,8 @@
 //!    arrival to the first fraud verdict on that item (virtual ms), and
 //!    the catch rate against the batch oracle (the full-archive
 //!    [`cats_core::CatsPipeline::detect`] the paper evaluates);
-//! 3. **determinism** — bit-identical verdict streams at 1/2/8 threads
-//!    and across a rerun of the same seeded trace;
+//! 3. **determinism** — a bit-identical verdict stream across a rerun
+//!    of the same seeded trace;
 //! 4. **memory bound** — a 2× longer trace must not grow the peak
 //!    resident footprint (windows are fixed-size; idle items evict).
 //!
@@ -29,26 +29,19 @@ use cats_stream::{CommentEvent, StreamConfig, StreamEngine};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-/// Thread counts the determinism phase sweeps.
-const DETERMINISM_THREADS: [usize; 3] = [1, 2, 8];
 /// Ceiling on the wave-start → first-verdict p95, in virtual ms (fixed
 /// by the trace seed, not the machine).
 const LATENCY_P95_CEILING_MS: f64 = 60_000.0;
 
-/// Stream config for the replay: default windows, explicit threads.
-fn stream_config(threads: usize) -> StreamConfig {
-    StreamConfig { threads, ..StreamConfig::default() }
-}
-
-/// Replays a trace through a fresh engine, flushing on the virtual
-/// clock. Returns the verdict stream, the final engine (for memory and
-/// drop accounting) and the ingest+score wall time in seconds.
+/// Replays a trace through a fresh engine of the default windows,
+/// flushing on the virtual clock. Returns the verdict stream, the final
+/// engine (for memory and drop accounting) and the ingest+score wall
+/// time in seconds.
 fn replay(
     trace: &TemporalTrace,
     pipeline: &CatsPipeline,
-    config: StreamConfig,
 ) -> (Vec<StreamVerdict>, StreamEngine, f64) {
-    let mut engine = StreamEngine::new(config);
+    let mut engine = StreamEngine::new(StreamConfig::default());
     let mut verdicts = Vec::new();
     let t0 = Instant::now();
     for ev in &trace.events {
@@ -110,7 +103,7 @@ fn main() {
 
     // ---- Phase 1: sustained throughput -------------------------------
     let t0 = Instant::now();
-    let (verdicts, engine, wall_s) = replay(&trace, &pipeline, stream_config(0));
+    let (verdicts, engine, wall_s) = replay(&trace, &pipeline);
     let sustained = trace.len() as f64 / wall_s;
     assert!(
         engine.late_dropped() == 0,
@@ -172,25 +165,15 @@ fn main() {
     );
     phase("detection", t0);
 
-    // ---- Phase 3: determinism across threads and reruns --------------
+    // ---- Phase 3: determinism across reruns ---------------------------
     let t0 = Instant::now();
-    let reference = &verdicts;
-    let mut deterministic = true;
-    for threads in DETERMINISM_THREADS {
-        let (v, _, _) = replay(&trace, &pipeline, stream_config(threads));
-        if !verdicts_identical(reference, &v) {
-            eprintln!("verdict stream diverges at {threads} threads");
-            deterministic = false;
-        }
-    }
     // Rerun bit-identity: regenerate the trace from the same seed too.
     let rerun_trace = TemporalTrace::from_platform(&platform, &trace_config);
-    let (rerun, _, _) = replay(&rerun_trace, &pipeline, stream_config(0));
-    if !verdicts_identical(reference, &rerun) {
-        eprintln!("verdict stream diverges across reruns of the same seeded trace");
-        deterministic = false;
-    }
-    assert!(deterministic, "streaming verdicts must be bit-identical at any thread count");
+    let (rerun, _, _) = replay(&rerun_trace, &pipeline);
+    assert!(
+        verdicts_identical(&verdicts, &rerun),
+        "verdict stream diverges across reruns of the same seeded trace"
+    );
     phase("determinism", t0);
 
     // ---- Phase 4: memory bound ---------------------------------------
@@ -198,7 +181,7 @@ fn main() {
     let long_config =
         TraceConfig { duration_ms: trace_config.duration_ms * 2, ..trace_config.clone() };
     let long_trace = TemporalTrace::from_platform(&platform, &long_config);
-    let (_, long_engine, _) = replay(&long_trace, &pipeline, stream_config(0));
+    let (_, long_engine, _) = replay(&long_trace, &pipeline);
     let peak = engine.peak_resident_bytes();
     let peak_2x = long_engine.peak_resident_bytes();
     // Fixed rings + capped deques + idle eviction: doubling the trace

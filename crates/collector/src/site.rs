@@ -197,12 +197,6 @@ impl<'a> PublicSite<'a> {
         Self { platform, config, hits: RefCell::new(HashMap::new()) }
     }
 
-    /// Number of shops (a real crawler learns this by walking pages; tests
-    /// and sanity checks use it directly).
-    pub fn shop_count(&self) -> usize {
-        self.platform.shops().len()
-    }
-
     /// Deterministic per-request RNG: noise depends only on (seed, request
     /// identity), so a retry of the *same* page can succeed/fail
     /// independently while the overall process stays reproducible.

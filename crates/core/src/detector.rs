@@ -175,37 +175,42 @@ impl Detector {
         self.gbt.set_parallelism(parallelism);
     }
 
-    /// Applies the stage-1 rules to one item.
+    /// Applies the stage-1 rules to one item, its evidence read by a
+    /// scan of its tokens that extracts nothing.
     pub fn filter_item(
         &self,
         sales_volume: u64,
         item: &ItemComments,
         analyzer: &SemanticAnalyzer,
     ) -> FilterDecision {
-        self.filter_decision(sales_volume, has_positive_evidence(item, analyzer))
+        self.stage1(sales_volume, || has_positive_evidence(item, analyzer))
     }
 
-    /// Stage 1 for an item whose positive evidence is already known —
-    /// the stream engine reads it off its cached sums.
-    pub fn filter_decision(&self, sales_volume: u64, has_evidence: bool) -> FilterDecision {
-        match self.sales_rule(sales_volume) {
-            FilterDecision::Classified => self.evidence_rule(has_evidence),
-            dropped => dropped,
+    /// Stages 0 and 1 of an item of `comments` comments, in order: an
+    /// item with no comments is quarantined (a fully truncated or fully
+    /// dropped crawl carries no text signal, and scoring its synthetic
+    /// zero row would be noise), then the stage-1 rules.
+    /// `has_evidence` tells whether the item has a word in *P* — for
+    /// summed terms, [`crate::features::TermSums::has_positive_evidence`]
+    /// — and is called only when the evidence rule is reached.
+    pub fn filter_decision(
+        &self,
+        comments: usize,
+        sales_volume: u64,
+        has_evidence: impl FnOnce() -> bool,
+    ) -> FilterDecision {
+        if comments == 0 {
+            FilterDecision::Quarantined
+        } else {
+            self.stage1(sales_volume, has_evidence)
         }
     }
 
-    /// Stage 1's first rule, which needs no tokens.
-    fn sales_rule(&self, sales_volume: u64) -> FilterDecision {
+    /// The paper's two rules: the sales rule, then the evidence rule.
+    fn stage1(&self, sales_volume: u64, has_evidence: impl FnOnce() -> bool) -> FilterDecision {
         if sales_volume < self.config.min_sales_volume {
             FilterDecision::FilteredLowSales
-        } else {
-            FilterDecision::Classified
-        }
-    }
-
-    /// Stage 1's second rule, given whether the item has a positive word.
-    fn evidence_rule(&self, has_evidence: bool) -> FilterDecision {
-        if self.config.require_positive_evidence && !has_evidence {
+        } else if self.config.require_positive_evidence && !has_evidence() {
             FilterDecision::FilteredNoPositiveEvidence
         } else {
             FilterDecision::Classified
@@ -280,10 +285,10 @@ impl Detector {
     /// The quarantine check and the sales rule need no tokens and run
     /// first. Each remaining item is then segmented and summed as one
     /// task on the `cats-par` pool, so segmentation follows the
-    /// detector's `Parallelism`; the evidence rule reads the kernel's
-    /// sums, and only items that pass it finish their row. The reports
-    /// are identical at every thread count and for either form of the
-    /// same item.
+    /// detector's `Parallelism`; [`Detector::filter_decision`] reads the
+    /// evidence off the kernel's sums, and only items that pass it
+    /// finish their row. The reports are identical at every thread
+    /// count and for either form of the same item.
     ///
     /// # Panics
     /// Panics if the detector has not been fit, or if
@@ -298,29 +303,24 @@ impl Detector {
         assert_eq!(items.len(), sales_volumes.len(), "items/sales mismatch");
         let _span = cats_obs::span!("cats.core.detect", { items.len() });
 
-        // Stage 0: data-health quarantine — an item with zero usable
-        // comments (fully truncated or fully dropped crawl) carries no
-        // text signal; scoring its synthetic zero-row would be noise.
-        // Stage 1 starts with the paper's sales rule.
+        // The rules that read no token come first, the evidence taken as
+        // given, so an item they drop is never segmented.
         let decisions: Vec<FilterDecision> = items
             .iter()
             .zip(sales_volumes)
-            .map(|(item, &sales)| {
-                if item.comment_count() == 0 {
-                    FilterDecision::Quarantined
-                } else {
-                    self.sales_rule(sales)
-                }
-            })
+            .map(|(item, &sales)| self.filter_decision(item.comment_count(), sales, || true))
             .collect();
 
-        // The rest of stage 1 and stage 2's features, one pool task per
+        // The whole of stage 1 and stage 2's features, one pool task per
         // remaining item.
         let pending: Vec<usize> =
             (0..items.len()).filter(|&i| decisions[i] == FilterDecision::Classified).collect();
         let rows = map_items(self.config.parallelism.threads, pending.len(), |k| {
-            let (sums, distinct) = sum_view(&items[pending[k]].view(), analyzer);
-            match self.evidence_rule(sums.has_positive_evidence()) {
+            let i = pending[k];
+            let (sums, distinct) = sum_view(&items[i].view(), analyzer);
+            match self
+                .filter_decision(sums.comments(), sales_volumes[i], || sums.has_positive_evidence())
+            {
                 FilterDecision::Classified => Ok(sums.finish(distinct)),
                 dropped => Err(dropped),
             }
@@ -339,41 +339,44 @@ impl Detector {
             })
             .collect();
         for (&i, row) in pending.iter().zip(rows) {
-            let row = match row {
-                Ok(row) => row,
-                Err(dropped) => {
-                    reports[i].filter = dropped;
-                    continue;
+            match row {
+                // Post-extraction quarantine: never feed a non-finite row
+                // to the classifier or emit a NaN score.
+                Ok(row) if !row.is_finite() => reports[i].filter = FilterDecision::Quarantined,
+                Ok(row) => {
+                    let score = self.score_row(&row);
+                    reports[i].score = score;
+                    reports[i].is_fraud = score >= self.config.threshold;
+                    reports[i].features = Some(row);
                 }
-            };
-            // Post-extraction quarantine: never feed a non-finite row to
-            // the classifier or emit a NaN score.
-            if !row.is_finite() {
-                reports[i].filter = FilterDecision::Quarantined;
-                continue;
+                Err(dropped) => reports[i].filter = dropped,
             }
-            let score = self.gbt.predict_proba(row.as_slice());
-            reports[i].score = score;
-            reports[i].is_fraud = score >= self.config.threshold;
-            reports[i].features = Some(row);
         }
         drop(classify_span);
         reports
     }
 
-    /// Scores feature rows straight through the stage-2 classifier, one
-    /// `predict_proba` per row. Non-finite rows score 0.0 — the
-    /// streaming caller has no quarantine lane, and a zero score is the
-    /// same "treat as normal" outcome [`Detector::detect`] reaches
-    /// through [`FilterDecision::Quarantined`].
+    /// Scores one feature row through the stage-2 classifier: a finite
+    /// row gets `predict_proba`, any other row 0.0 — the "treat as
+    /// normal" outcome [`Detector::detect`] reaches by quarantining it.
+    ///
+    /// # Panics
+    /// Panics if the detector has not been fit.
+    pub fn score_row(&self, row: &FeatureVector) -> f64 {
+        assert!(self.is_fit(), "score before fit");
+        if row.is_finite() {
+            self.gbt.predict_proba(row.as_slice())
+        } else {
+            0.0
+        }
+    }
+
+    /// [`Detector::score_row`] of each row, in order.
     ///
     /// # Panics
     /// Panics if the detector has not been fit.
     pub fn score_rows(&self, rows: &[FeatureVector]) -> Vec<f64> {
-        assert!(self.is_fit(), "score before fit");
-        rows.iter()
-            .map(|row| if row.is_finite() { self.gbt.predict_proba(row.as_slice()) } else { 0.0 })
-            .collect()
+        rows.iter().map(|row| self.score_row(row)).collect()
     }
 
     /// Stage-2 decision threshold currently in force.

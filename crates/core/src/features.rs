@@ -543,9 +543,8 @@ where
 /// per-item latency percentiles without locking. Both feature paths,
 /// [`extract_batch`] and [`crate::Detector::detect`], run through here,
 /// so the item span always covers segmentation (a no-op for
-/// [`ItemComments`]) plus extraction. The stream engine maps its dirty
-/// windows through it too.
-pub fn map_items<R, F>(n_threads: usize, n: usize, per_item: F) -> Vec<R>
+/// [`ItemComments`]) plus extraction.
+pub(crate) fn map_items<R, F>(n_threads: usize, n: usize, per_item: F) -> Vec<R>
 where
     R: Send + Sync,
     F: Fn(usize) -> R + Sync,

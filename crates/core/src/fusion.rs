@@ -66,7 +66,8 @@ const RATE_SATURATION_PER_MIN: f64 = 12.0;
 /// streaming path auditable and free of a second training loop.
 ///
 /// * **rate** — an exponential saturation of the short-window rate:
-///   zero for idle items, →1 beyond ~3× [`RATE_SATURATION_PER_MIN`].
+///   zero for idle items, →1 beyond ~3× its saturation rate of 12
+///   comments a minute.
 ///   This is the gate: an item nobody is commenting on carries no
 ///   velocity risk regardless of the other components.
 /// * **concentration** — hired pools recycle commenters, so the

@@ -32,10 +32,10 @@ pub struct SemanticConfig {
 ///
 /// The word2vec embedding itself is training-time machinery; what the
 /// feature extractor needs at run time is the lexicon it produced and the
-/// sentiment scorer, which is also what gets persisted (see
-/// [`SemanticAnalyzer::to_io2_sections`]). Every constructor also builds
-/// the [`TokenTable`] the extractor reads; it is derived from the two
-/// parts and never persisted.
+/// sentiment scorer, which is also what gets persisted (two sections of
+/// [`crate::pipeline::PipelineSnapshot::to_io2_bytes`]). Every
+/// constructor also builds the token table the extractor reads; it is
+/// derived from the two parts and never persisted.
 #[derive(Debug, Clone)]
 pub struct SemanticAnalyzer {
     lexicon: Lexicon,

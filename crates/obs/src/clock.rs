@@ -1,6 +1,6 @@
 //! Time sources for the observability layer.
 //!
-//! Every duration recorded by [`crate::span`] and [`crate::StageTimer`]
+//! Every duration recorded by [`crate::span!`] and [`crate::StageTimer`]
 //! comes from the process-global [`Observer`], so swapping the observer
 //! swaps the clock for the whole instrumentation layer at once:
 //!
@@ -69,10 +69,6 @@ impl SimObserver {
 
     pub fn advance_micros(&self, delta: u64) {
         self.micros.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    pub fn advance_secs(&self, secs: u64) {
-        self.advance_micros(secs.saturating_mul(1_000_000));
     }
 }
 

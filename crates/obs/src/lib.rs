@@ -7,7 +7,7 @@
 //!    handle lookup locks once, recording never does — with a
 //!    Prometheus-text exporter. (`cats-serve` serves a snapshot as JSON
 //!    through its serde `WireSnapshot`.)
-//! 2. **Spans** ([`span`]): `let _g = span!("cats.core.detect");`
+//! 2. **Spans** ([`span`](mod@span)): `let _g = span!("cats.core.detect");`
 //!    scoped timers with parent–child nesting, wall/self time and an
 //!    items payload, folded into per-stage aggregates.
 //! 3. **Run profiles** ([`profile`]): a [`StageTimer`] diffs registry

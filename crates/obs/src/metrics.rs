@@ -324,13 +324,6 @@ impl Registry {
             .clone()
     }
 
-    /// Returns (registering on first use) a histogram with caller-chosen
-    /// bucket bounds. Bounds are fixed by whichever call registers first.
-    pub fn histogram_with(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
-        let mut g = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        g.hists.entry(name.to_string()).or_insert_with(|| Arc::new(Histogram::new(bounds))).clone()
-    }
-
     pub(crate) fn stage(&self, name: &str) -> Arc<StageStats> {
         let mut g = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         g.stages.entry(name.to_string()).or_insert_with(|| Arc::new(StageStats::new())).clone()

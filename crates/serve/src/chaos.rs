@@ -183,6 +183,10 @@ pub fn torn_rewrite(path: &Path, bytes: &[u8], rng: &mut ChaosRng) -> std::io::R
     std::fs::write(path, &bytes[..cut])
 }
 
+/// Power-law exponent of [`TrafficTrace`]'s item draws; 1.0 would be
+/// uniform, larger is a hotter head.
+const SKEW: f64 = 3.0;
+
 /// Deterministic heavy-tail traffic shape for cluster benches.
 ///
 /// Real marketplace traffic is nothing like uniform: a few hot items
@@ -190,8 +194,8 @@ pub fn torn_rewrite(path: &Path, bytes: &[u8], rng: &mut ChaosRng) -> std::io::R
 /// idle — exactly the regime where naive round-robin looks fine and
 /// consistent hashing has to prove itself), and volume swings on a
 /// diurnal cycle. `TrafficTrace` reproduces both from a seed: item
-/// draws follow a power-law over the pool (index `⌊n·u^skew⌋`, so
-/// `skew=3` sends ~22 % of draws to the first 1 % of items) and
+/// draws follow a power-law over the pool (index `⌊n·u^SKEW⌋`, whose
+/// exponent 3 sends ~22 % of draws to the first 1 % of items) and
 /// [`TrafficTrace::burst_factor`] modulates offered load sinusoidally
 /// over a fixed tick period. Same seed, same trace — the chaos bench's
 /// throughput floors stay comparable run to run.
@@ -199,8 +203,6 @@ pub fn torn_rewrite(path: &Path, bytes: &[u8], rng: &mut ChaosRng) -> std::io::R
 pub struct TrafficTrace {
     rng: ChaosRng,
     pool_size: usize,
-    /// Power-law exponent; 1.0 = uniform, larger = hotter head.
-    skew: f64,
     /// Ticks per diurnal cycle.
     burst_period: u64,
     /// Peak-to-mean swing in `[0, 1)`.
@@ -209,23 +211,16 @@ pub struct TrafficTrace {
 }
 
 impl TrafficTrace {
-    /// A trace over `pool_size` items with the default shape (skew 3.0,
-    /// 400-tick cycle, ±60 % swing).
+    /// A trace over `pool_size` items with the default cycle (400
+    /// ticks, ±60 % swing).
     pub fn new(seed: u64, pool_size: usize) -> Self {
         Self {
             rng: ChaosRng::new(seed),
             pool_size: pool_size.max(1),
-            skew: 3.0,
             burst_period: 400,
             burst_amplitude: 0.6,
             tick: 0,
         }
-    }
-
-    /// Overrides the power-law exponent (clamped to ≥ 1).
-    pub fn with_skew(mut self, skew: f64) -> Self {
-        self.skew = skew.max(1.0);
-        self
     }
 
     /// Overrides the diurnal cycle shape.
@@ -240,7 +235,7 @@ impl TrafficTrace {
     pub fn draw_item(&mut self) -> usize {
         self.tick = self.tick.wrapping_add(1);
         let u = self.rng.next_f64();
-        ((self.pool_size as f64 * u.powf(self.skew)) as usize).min(self.pool_size - 1)
+        ((self.pool_size as f64 * u.powf(SKEW)) as usize).min(self.pool_size - 1)
     }
 
     /// Load multiplier for the current tick: `1 ± amplitude`, swinging
@@ -328,7 +323,7 @@ mod tests {
         let draws = 20_000;
         let hot = (0..draws).filter(|_| trace.draw_item() < 100).count();
         // Uniform traffic would put ~10% of draws in the first 10% of
-        // the pool; the default skew concentrates far more.
+        // the pool; its skew concentrates far more.
         assert!(
             hot as f64 / draws as f64 > 0.35,
             "only {hot}/{draws} draws hit the hot head — trace is not heavy-tailed"

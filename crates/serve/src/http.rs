@@ -43,12 +43,7 @@ pub struct ServeConfig {
     pub addr: String,
     /// Micro-batcher tuning.
     pub batch: BatchConfig,
-    /// Sliding-window tuning for `POST /v1/ingest`. The default scores
-    /// on one thread: a served flush computes terms only for the
-    /// comments new since the last one (a mean of ~147 over ~124 items
-    /// in `perf/`'s `ingest_stream`), and on a 2-vCPU host the pool's
-    /// per-flush threads made that step slower (p50 1.23 ms against
-    /// 0.69 ms) and the workload's p90 latency ~8% worse.
+    /// Sliding-window tuning for `POST /v1/ingest`.
     pub stream: StreamConfig,
 }
 
@@ -57,7 +52,7 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:7878".to_string(),
             batch: BatchConfig::default(),
-            stream: StreamConfig { threads: 1, ..StreamConfig::default() },
+            stream: StreamConfig::default(),
         }
     }
 }

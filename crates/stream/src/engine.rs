@@ -15,13 +15,15 @@
 //!    it leaves the window, gives `uniqueWordRatio`'s distinct words;
 //! 2. the item's row is the kernel's fold of those terms in window
 //!    order — bit-identical to `features::extract` over the window —
-//!    and goes through the stage-1 rules and
-//!    [`cats_core::Detector::score_rows`] (one FlatForest descent);
+//!    and goes through the detector's own stage rules
+//!    ([`cats_core::Detector::filter_decision`]) and
+//!    [`cats_core::Detector::score_row`] (one FlatForest descent);
 //! 3. each content score is fused with the item's velocity risk
 //!    ([`cats_core::fusion`]) and emitted as a [`StreamVerdict`].
 //!
-//! New terms are computed per item on the `cats-par` pool, so verdicts
-//! are bit-identical at any thread count.
+//! A flush is one serial pass over the dirty items in id order, on the
+//! calling thread: it computes only the terms of comments new since the
+//! last one, too little work to pay for a thread pool.
 //!
 //! ## Memory bound
 //!
@@ -35,7 +37,7 @@
 //! footprint.
 
 use crate::window::{mix_user, Ring};
-use cats_core::features::{comment_terms, map_items, CommentTerms, TermSums};
+use cats_core::features::{comment_terms, CommentTerms, TermSums};
 use cats_core::fusion::{fuse_scores, velocity_risk, StreamVerdict, VelocityFeatures};
 use cats_core::{
     CatsPipeline, FeatureVector, FilterDecision, ItemComments, SemanticAnalyzer, WordKey,
@@ -70,9 +72,6 @@ pub struct StreamConfig {
     pub idle_evict_ms: u64,
     /// Weight of velocity evidence in score fusion.
     pub fusion_weight: f64,
-    /// Feature-extraction threads (0 = auto). Verdicts are
-    /// bit-identical at every setting.
-    pub threads: usize,
 }
 
 impl Default for StreamConfig {
@@ -86,7 +85,6 @@ impl Default for StreamConfig {
             flush_interval_ms: 10_000,
             idle_evict_ms: 600_000,
             fusion_weight: cats_core::DEFAULT_FUSION_WEIGHT,
-            threads: 0,
         }
     }
 }
@@ -272,9 +270,6 @@ struct ItemState {
     /// [`SemanticAnalyzer::instance_id`] of the analyzer behind the
     /// scored comments (0: none yet).
     terms_of: u64,
-    /// The sums of the terms of the first `summed` comments, in order.
-    sums: TermSums,
-    summed: usize,
     /// Bytes of the windowed texts and word keys.
     heap_bytes: usize,
 }
@@ -293,7 +288,6 @@ impl ItemState {
     fn evict_front(&mut self) {
         if let Some(c) = self.comments.pop_front() {
             self.heap_bytes -= c.text.len();
-            self.summed = 0;
             if let Some(scored) = c.scored {
                 self.words.remove(&c.text, &scored.keys);
                 self.heap_bytes -= std::mem::size_of_val(&*scored.keys);
@@ -301,54 +295,40 @@ impl ItemState {
         }
     }
 
-    /// The terms and keys of every comment that `refresh` under
-    /// `analyzer` takes new ones for, in window order: under a new model
-    /// every comment's, else those not scored yet. Reads the state only,
-    /// so dirty items compute theirs in parallel.
-    fn new_terms(&self, analyzer: &SemanticAnalyzer) -> Vec<Scored> {
-        let new_model = self.terms_of != analyzer.instance_id();
-        let mut tokens = Vec::new();
-        self.comments
-            .iter()
-            .filter(|c| new_model || c.scored.is_none())
-            .map(|c| score_comment(&c.text, &mut tokens, analyzer))
-            .collect()
-    }
-
-    /// Gives every comment not yet scored under `analyzer` its terms
-    /// from `new` ([`ItemState::new_terms`]) and its words to the
-    /// multiset, and returns the sums of the window's terms in window
-    /// order and its distinct words. Comments only join at the back, so
-    /// while none left the front the last sums go on with the new
-    /// comments: the same additions in the same order as a sum from zero.
-    fn refresh(&mut self, analyzer: &SemanticAnalyzer, new: Vec<Scored>) -> (TermSums, usize) {
+    /// Gives every windowed comment not yet scored under `analyzer` its
+    /// terms and its words to the multiset, and returns the sums of the
+    /// window's terms, folded from zero in window order, and its distinct
+    /// words.
+    fn refresh(&mut self, analyzer: &SemanticAnalyzer) -> (TermSums, usize) {
         if self.terms_of != analyzer.instance_id() {
             // Word keys are the model's ids: a new model starts the
-            // multiset, the sums and every comment's terms over.
+            // multiset and every comment's terms over.
             self.terms_of = analyzer.instance_id();
             self.words = WordBag::default();
-            self.summed = 0;
             for c in &mut self.comments {
                 if let Some(scored) = c.scored.take() {
                     self.heap_bytes -= std::mem::size_of_val(&*scored.keys);
                 }
             }
         }
-        if self.summed == 0 {
-            self.sums = TermSums::default();
-        }
-        let mut new = new.into_iter();
-        for c in self.comments.iter_mut().skip(self.summed) {
-            let scored = c.scored.get_or_insert_with(|| {
-                let scored = new.next().expect("new terms for each unscored comment");
-                self.words.insert(&c.text, &scored.keys);
+        let mut sums = TermSums::default();
+        let mut tokens = Vec::new();
+        for WindowComment { text, scored, .. } in &mut self.comments {
+            let text: &str = text;
+            let scored = scored.get_or_insert_with(|| {
+                let scored = score_comment(text, &mut tokens, analyzer);
+                self.words.insert(text, &scored.keys);
                 self.heap_bytes += std::mem::size_of_val(&*scored.keys);
                 scored
             });
-            self.sums.add(&scored.terms);
+            sums.add(&scored.terms);
         }
-        self.summed = self.comments.len();
-        (self.sums, self.words.distinct())
+        (sums, self.words.distinct())
+    }
+
+    /// The velocity feature row at the last trim.
+    fn velocity(&self, config: &StreamConfig) -> VelocityFeatures {
+        velocity_features(&self.long, &self.short, config.long_window_ms, config.short_window_ms)
     }
 }
 
@@ -463,8 +443,6 @@ impl StreamEngine {
             comments: VecDeque::new(),
             words: WordBag::default(),
             terms_of: 0,
-            sums: TermSums::default(),
-            summed: 0,
             heap_bytes: 0,
         });
 
@@ -505,16 +483,6 @@ impl StreamEngine {
     /// Whether the virtual clock has passed the next flush boundary.
     pub fn flush_due(&self) -> bool {
         self.watermark_ms >= self.last_flush_ms + self.config.flush_interval_ms
-    }
-
-    /// [`StreamEngine::flush`] when due, else no-op. The convenience
-    /// the per-event driver loop calls.
-    pub fn maybe_flush(&mut self, pipeline: &CatsPipeline) -> Vec<StreamVerdict> {
-        if self.flush_due() {
-            self.flush(pipeline)
-        } else {
-            Vec::new()
-        }
     }
 
     /// The first half of a flush: sweeps idle items, drains the dirty
@@ -570,7 +538,7 @@ impl StreamEngine {
                     item_id: id,
                     sales_volume: state.sales_volume,
                     comments: ItemComments::from_texts(state.comments.iter().map(|c| &*c.text)),
-                    velocity: self.velocity(state),
+                    velocity: state.velocity(&self.config),
                 }
             })
             .collect();
@@ -596,86 +564,44 @@ impl StreamEngine {
         let _span = cats_obs::span!("cats.stream.flush", { self.dirty.len() });
         let now = self.watermark_ms;
         let dirty = self.sweep_and_trim();
-        let sums = self.window_sums(&dirty, pipeline.analyzer());
-
-        // Stage-1 rule filter, windowed edition: filtered items keep
-        // their velocity risk (observability) but score no content
-        // evidence, so fusion alone cannot flag them. An empty window
-        // is quarantined, as `detect` does.
-        let detector = pipeline.detector();
-        let classified: Vec<bool> = dirty
-            .iter()
-            .zip(&sums)
-            .map(|(id, (s, _))| {
-                s.comments() > 0
-                    && detector
-                        .filter_decision(self.items[id].sales_volume, s.has_positive_evidence())
-                        == FilterDecision::Classified
-            })
-            .collect();
-        let rows: Vec<FeatureVector> = sums
-            .iter()
-            .zip(&classified)
-            .filter(|(_, &c)| c)
-            .map(|((s, distinct), _)| s.finish(*distinct))
-            .collect();
-        for row in rows.iter().filter(|r| r.is_finite()) {
-            observe(row);
-        }
-        let mut scores = detector.score_rows(&rows).into_iter();
-        let threshold = detector.threshold();
-
+        let (analyzer, detector) = (pipeline.analyzer(), pipeline.detector());
         let mut verdicts = Vec::with_capacity(dirty.len());
-        for ((id, (s, _)), c) in dirty.iter().zip(&sums).zip(classified) {
-            let cats_score = if c { scores.next().unwrap_or(0.0) } else { 0.0 };
-            let risk = velocity_risk(&self.velocity(&self.items[id]));
+        for item_id in dirty {
+            let state = self.items.get_mut(&item_id).expect("dirty item is resident");
+            let bytes_before = state.approx_bytes();
+            let (sums, distinct) = state.refresh(analyzer);
+            self.resident_bytes = self.resident_bytes + state.approx_bytes() - bytes_before;
+            // Stage-1 filtered items keep their velocity risk
+            // (observability) but score no content evidence, so fusion
+            // alone cannot flag them.
+            let decision = detector.filter_decision(sums.comments(), state.sales_volume, || {
+                sums.has_positive_evidence()
+            });
+            let cats_score = if decision == FilterDecision::Classified {
+                let row = sums.finish(distinct);
+                if row.is_finite() {
+                    observe(&row);
+                }
+                detector.score_row(&row)
+            } else {
+                0.0
+            };
+            let risk = velocity_risk(&state.velocity(&self.config));
             let fused = fuse_scores(cats_score, risk, self.config.fusion_weight);
             verdicts.push(StreamVerdict {
-                item_id: *id,
+                item_id,
                 at_ms: now,
-                window_comments: s.comments() as u32,
+                window_comments: sums.comments() as u32,
                 cats_score,
                 velocity_risk: risk,
                 fused_score: fused,
-                is_fraud: fused >= threshold,
+                is_fraud: fused >= detector.threshold(),
             });
         }
+        self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
         self.publish_gauges();
         cats_obs::counter("cats.stream.verdicts").add(verdicts.len() as u64);
         verdicts
-    }
-
-    /// Brings the cached terms of the `dirty` items (ascending ids) up
-    /// to date for `analyzer` and returns each window's sums and
-    /// distinct words in that order. The new comments' terms are
-    /// computed one item per `cats-par` task; the window state takes
-    /// them in after, in order.
-    fn window_sums(
-        &mut self,
-        dirty: &[u64],
-        analyzer: &SemanticAnalyzer,
-    ) -> Vec<(TermSums, usize)> {
-        let states: Vec<&ItemState> = dirty.iter().map(|id| &self.items[id]).collect();
-        let new = map_items(self.config.threads, states.len(), |k| states[k].new_terms(analyzer));
-        let mut sums = Vec::with_capacity(dirty.len());
-        for (id, new) in dirty.iter().zip(new) {
-            let state = self.items.get_mut(id).expect("dirty item is resident");
-            let bytes_before = state.approx_bytes();
-            sums.push(state.refresh(analyzer, new));
-            self.resident_bytes = self.resident_bytes + state.approx_bytes() - bytes_before;
-        }
-        self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
-        sums
-    }
-
-    /// The velocity feature row of `state` at the last trim.
-    fn velocity(&self, state: &ItemState) -> VelocityFeatures {
-        velocity_features(
-            &state.long,
-            &state.short,
-            self.config.long_window_ms,
-            self.config.short_window_ms,
-        )
     }
 
     fn publish_gauges(&self) {
@@ -889,7 +815,6 @@ mod tests {
             max_window_comments: 6,
             flush_interval_ms: 5_000,
             idle_evict_ms: 90_000,
-            threads: 1,
             ..StreamConfig::default()
         }
     }
@@ -941,6 +866,15 @@ mod tests {
             });
         }
         counts
+    }
+
+    /// The sums of `state`'s cached terms, in window order.
+    fn cached_sums(state: &ItemState) -> TermSums {
+        let mut sums = TermSums::default();
+        for scored in state.comments.iter().filter_map(|c| c.scored.as_ref()) {
+            sums.add(&scored.terms);
+        }
+        sums
     }
 
     fn bag_counts(bag: &WordBag) -> BTreeMap<String, u32> {
@@ -1101,12 +1035,13 @@ mod tests {
                 let state = &e.items[&id];
                 let window = ItemComments::from_texts(state.comments.iter().map(|c| &*c.text));
                 coverage.empty_windows += usize::from(window.is_empty());
-                let got = state.sums.finish(state.words.distinct());
+                let sums = cached_sums(state);
+                let got = sums.finish(state.words.distinct());
                 let want = extract(&window, analyzer);
                 let evidence =
                     window.tokens.iter().flatten().any(|t| analyzer.lexicon().is_positive(t));
                 let same_row = got.0.iter().zip(&want.0).all(|(g, w)| g.to_bits() == w.to_bits());
-                if !same_row || state.sums.has_positive_evidence() != evidence {
+                if !same_row || sums.has_positive_evidence() != evidence {
                     mismatches += 1;
                     eprintln!("seed {seed:#x} item {id}: {got:?} vs {want:?}");
                 }

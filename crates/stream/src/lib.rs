@@ -18,8 +18,7 @@
 //!   periodic flushes that re-score every touched item from per-comment
 //!   feature terms cached once per model (one FlatForest descent per
 //!   item), noisy-OR score fusion, and idle-item eviction. Verdicts are
-//!   bit-identical at any thread count and across reruns of the same
-//!   trace.
+//!   bit-identical across reruns of the same trace.
 //!
 //! The event source lives in `cats_platform::stream` (temporal replay
 //! with bursty campaign waves); the serving surface is `/v1/ingest` in

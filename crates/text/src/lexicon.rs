@@ -67,11 +67,6 @@ impl Lexicon {
         self.negative.iter().map(String::as_str)
     }
 
-    /// Inserts a positive word; returns `false` if already present.
-    pub fn add_positive(&mut self, word: &str) -> bool {
-        self.positive.insert(word.to_owned())
-    }
-
     /// Inserts a negative word (unless it is already positive); returns
     /// `false` if it was not inserted.
     pub fn add_negative(&mut self, word: &str) -> bool {

@@ -13,6 +13,8 @@ LOCKED=(--offline --locked)
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets "${LOCKED[@]}" -- -D warnings
+# Doc links must resolve: a link to a deleted or private item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps "${LOCKED[@]}"
 # The tests must clean up after themselves: they run against a fresh
 # temp directory, and anything left in it fails the gate.
 test_tmp=$(mktemp -d)

@@ -85,7 +85,7 @@ bench exp_soak --scale 0.004
 bench exp_cluster --scale 0.004
 # Streaming velocity lane (DESIGN.md §13): replays the platform as a
 # temporal comment stream through the cats-stream sliding windows and
-# asserts zero in-skew drops, bit-identical verdicts at 1/2/8 threads,
+# asserts zero in-skew drops, a bit-identical verdict stream on a rerun,
 # a bounded peak footprint on a 2x trace, the catch rate vs the batch
 # oracle and the virtual-ms detection p95 ceiling.
 bench exp_stream --scale 0.004

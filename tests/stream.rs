@@ -1,12 +1,18 @@
 //! Integration tests for the streaming velocity lane (`cats-stream`):
 //! ring eviction at exact boundary ticks, out-of-order arrivals within
 //! the trace's bounded skew, empty-window entropy (no NaNs), idle-item
-//! sweeps through a fitted pipeline, and bit-identical verdict streams
-//! at 1, 2 and 8 extraction threads.
+//! sweeps through a fitted pipeline, and flush verdicts bit-identical to
+//! a drained-window `detect` oracle on a platform trace.
 
-use cats_core::{CatsPipeline, ItemComments, PipelineConfig, StreamVerdict};
-use cats_platform::{datasets, TemporalTrace, TimedComment, TraceConfig};
+use cats_core::fusion::{fuse_scores, velocity_risk};
+use cats_core::pipeline::LabeledItem;
+use cats_core::semantic::SemanticConfig;
+use cats_core::{CatsPipeline, FilterDecision, ItemComments, PipelineConfig, StreamVerdict};
+use cats_embedding::Word2VecConfig;
+use cats_platform::comment_model::{generate_comment, CommentStyle};
+use cats_platform::{datasets, Platform, TemporalTrace, TimedComment, TraceConfig};
 use cats_stream::{mix_user, CommentEvent, IngestOutcome, Ring, StreamConfig, StreamEngine};
+use rand::{rngs::StdRng, SeedableRng};
 
 fn fraud_item(i: usize) -> ItemComments {
     ItemComments::from_texts([
@@ -47,6 +53,46 @@ fn trained() -> CatsPipeline {
     )
 }
 
+/// A small pipeline fit on `platform` itself, so that the words of its
+/// traces are the pipeline's words: its comments train word2vec, its
+/// lexicon seeds *P* and *N*, generated organic comments train the
+/// sentiment model and its labeled items fit the GBT.
+fn trained_on(platform: &Platform, seed: u64) -> CatsPipeline {
+    let corpus: Vec<&str> = platform
+        .items()
+        .iter()
+        .flat_map(|i| i.comments.iter().map(|c| c.content.as_str()))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut organic = |style| -> Vec<String> {
+        (0..200).map(|_| generate_comment(platform.lexicon(), style, &mut rng)).collect()
+    };
+    let (pos, neg) =
+        (organic(CommentStyle::OrganicPositive), organic(CommentStyle::OrganicNegative));
+    let training: Vec<LabeledItem> = platform
+        .items()
+        .iter()
+        .map(|i| LabeledItem {
+            comments: ItemComments::from_texts(i.comments.iter().map(|c| c.content.as_str())),
+            label: u8::from(i.label.is_fraud()),
+        })
+        .collect();
+    let semantic = SemanticConfig {
+        word2vec: Word2VecConfig { dim: 24, epochs: 2, ..Word2VecConfig::default() },
+        ..SemanticConfig::default()
+    };
+    CatsPipeline::train(
+        &corpus,
+        &platform.lexicon().positive_seeds(),
+        &platform.lexicon().negative_seeds(),
+        &pos.iter().map(String::as_str).collect::<Vec<_>>(),
+        &neg.iter().map(String::as_str).collect::<Vec<_>>(),
+        &training,
+        None,
+        PipelineConfig { semantic, ..PipelineConfig::default() },
+    )
+}
+
 fn event(at_ms: u64, item_id: u64, user_id: u64) -> CommentEvent {
     CommentEvent {
         at_ms,
@@ -67,17 +113,61 @@ fn to_event(ev: &TimedComment) -> CommentEvent {
     }
 }
 
-/// Replays a trace through a fresh engine, flushing on the virtual
-/// clock — the same driver loop `exp_stream` uses.
-fn replay(trace: &TemporalTrace, pipeline: &CatsPipeline, threads: usize) -> Vec<StreamVerdict> {
-    let mut engine = StreamEngine::new(StreamConfig { threads, ..StreamConfig::default() });
-    let mut verdicts = Vec::new();
+/// The oracle of a flush: `engine`'s dirty windows, drained as texts,
+/// through `CatsPipeline::detect` and fusion. Returns each verdict with
+/// the stage-1 decision `detect` reached.
+fn oracle_flush(
+    engine: &mut StreamEngine,
+    pipeline: &CatsPipeline,
+) -> Vec<(StreamVerdict, FilterDecision)> {
+    let slices = engine.drain_window_slices();
+    let windows: Vec<&ItemComments> = slices.iter().map(|s| &s.comments).collect();
+    let sales: Vec<u64> = slices.iter().map(|s| s.sales_volume).collect();
+    let reports = pipeline.detect(&windows, &sales);
+    let threshold = pipeline.detector().threshold();
+    let weight = engine.config().fusion_weight;
+    slices
+        .iter()
+        .zip(reports)
+        .map(|(s, r)| {
+            let risk = velocity_risk(&s.velocity);
+            let fused = fuse_scores(r.score, risk, weight);
+            let verdict = StreamVerdict {
+                item_id: s.item_id,
+                at_ms: engine.watermark_ms(),
+                window_comments: s.comments.len() as u32,
+                cats_score: r.score,
+                velocity_risk: risk,
+                fused_score: fused,
+                is_fraud: fused >= threshold,
+            };
+            (verdict, r.filter)
+        })
+        .collect()
+}
+
+/// Replays a trace through two fresh engines fed the same events,
+/// flushing both on the virtual clock: `flush` on one, [`oracle_flush`]
+/// on the other. Returns the two verdict streams.
+fn replay_with_oracle(
+    trace: &TemporalTrace,
+    pipeline: &CatsPipeline,
+) -> (Vec<StreamVerdict>, Vec<(StreamVerdict, FilterDecision)>) {
+    let mut engine = StreamEngine::new(StreamConfig::default());
+    let mut oracle = StreamEngine::new(StreamConfig::default());
+    let (mut got, mut want) = (Vec::new(), Vec::new());
     for ev in &trace.events {
-        engine.ingest(&to_event(ev));
-        verdicts.extend(engine.maybe_flush(pipeline));
+        let ev = to_event(ev);
+        engine.ingest(&ev);
+        oracle.ingest(&ev);
+        if engine.flush_due() {
+            got.extend(engine.flush(pipeline));
+            want.extend(oracle_flush(&mut oracle, pipeline));
+        }
     }
-    verdicts.extend(engine.flush(pipeline));
-    verdicts
+    got.extend(engine.flush(pipeline));
+    want.extend(oracle_flush(&mut oracle, pipeline));
+    (got, want)
 }
 
 #[test]
@@ -165,31 +255,35 @@ fn idle_items_are_swept_at_flush() {
 }
 
 #[test]
-fn verdict_stream_is_bit_identical_across_thread_counts() {
-    let pipeline = trained();
+fn flush_verdicts_match_a_drained_window_detect_oracle() {
     let platform = datasets::d0(0.001, 0x51DE);
+    let pipeline = trained_on(&platform, 0x51DE);
     let trace = TemporalTrace::from_platform(
         &platform,
         &TraceConfig { seed: 0x51DE, ..Default::default() },
     );
-    let reference = replay(&trace, &pipeline, 1);
-    assert!(!reference.is_empty(), "trace must produce verdicts");
-    for threads in [2usize, 8] {
-        let run = replay(&trace, &pipeline, threads);
-        assert_eq!(reference.len(), run.len(), "verdict count differs at {threads} threads");
-        for (a, b) in reference.iter().zip(&run) {
-            assert_eq!(a.item_id, b.item_id);
-            assert_eq!(a.at_ms, b.at_ms);
-            assert_eq!(a.window_comments, b.window_comments);
-            assert_eq!(
-                a.cats_score.to_bits(),
-                b.cats_score.to_bits(),
-                "content score diverges at {threads} threads (item {})",
-                a.item_id
-            );
-            assert_eq!(a.velocity_risk.to_bits(), b.velocity_risk.to_bits());
-            assert_eq!(a.fused_score.to_bits(), b.fused_score.to_bits());
-            assert_eq!(a.is_fraud, b.is_fraud);
-        }
+    let (got, want) = replay_with_oracle(&trace, &pipeline);
+    assert!(!got.is_empty(), "trace must produce verdicts");
+    assert_eq!(got.len(), want.len(), "verdict count differs from the oracle");
+    for (a, (b, filter)) in got.iter().zip(&want) {
+        let same = a.item_id == b.item_id
+            && a.at_ms == b.at_ms
+            && a.window_comments == b.window_comments
+            && a.cats_score.to_bits() == b.cats_score.to_bits()
+            && a.velocity_risk.to_bits() == b.velocity_risk.to_bits()
+            && a.fused_score.to_bits() == b.fused_score.to_bits()
+            && a.is_fraud == b.is_fraud;
+        assert!(same, "{filter:?}: flush {a:?} vs oracle {b:?}");
     }
+    let classified = want.iter().filter(|(_, d)| *d == FilterDecision::Classified).count();
+    let filtered = want
+        .iter()
+        .filter(|(_, d)| {
+            matches!(
+                d,
+                FilterDecision::FilteredLowSales | FilterDecision::FilteredNoPositiveEvidence
+            )
+        })
+        .count();
+    assert!(classified > 0 && filtered > 0, "{classified} classified, {filtered} filtered");
 }
